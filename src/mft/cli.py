@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -71,9 +72,18 @@ def cmd_gen_scene(args):
     return 0
 
 
+def _finite(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text} in JSON input")
+    return x
+
+
 def _load_json(path):
+    """Parse a JSON input file; NaN, Infinity and overflowing numbers are
+    input errors, not scalars."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=_finite, parse_constant=_finite)
 
 
 def _frames_from_scene(obj):

@@ -178,12 +178,16 @@ def transform(g: GroupElement, inv: Invariant) -> Invariant:
 
 
 def _random_rational_group_element(m, rng):
+    """Random integer group element with |det| > 1: a unit determinant
+    matches every power of itself, so it cannot measure a weight."""
     while True:
         entries = [[Fraction(rng.randint(-5, 5)) for _ in range(m)] for _ in range(m)]
         try:
-            return GroupElement(entries)
+            g = GroupElement(entries)
         except ValueError:
             continue
+        if abs(g.det()) != 1:
+            return g
 
 
 def check_weight(inv: Invariant, trials: int = 20, seed: int = 0) -> int:

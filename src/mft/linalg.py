@@ -2,13 +2,17 @@
 
 Everything here works on plain nested lists and is agnostic to the scalar
 type: with Fraction entries all results are exact, with floats they are the
-usual numerics.  Matrices in this package are tiny (at most about 10x10),
-so Gaussian elimination with max-abs pivoting is all we need.  numpy is
-deliberately avoided here so the exact-rational lane stays exact.
+usual numerics.  These matrices are tiny (at most about 10x10), so Gaussian
+elimination with max-abs pivoting is all they need.  The exception is
+``nullspace``, which serves the recovery systems (up to 80x81) and is
+exact-only: it works modulo primes and certifies the lifted result over the
+integers.  numpy is deliberately avoided here so the exact-rational lane
+stays exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -107,20 +111,160 @@ def rank(a):
 
 
 def nullspace(a):
-    """Basis of the right nullspace, one vector per free column."""
+    """Basis of the right nullspace of an exact (int/Fraction) matrix, one
+    vector per free column of its reduced row echelon form: 1 on that free
+    column, 0 on the other free columns, Fraction entries on the pivot
+    columns.  This is the basis read off ``rref(a)``.
+
+    Multi-modular: the kernel is computed modulo primes below 2**62, lifted
+    by CRT and rational reconstruction, and returned only once
+    ``_certified`` proves it exactly (Wang, Guy & Davenport 1982; Dixon
+    1982).  Only finitely many primes are unlucky, so the loop ends.
+    """
     if not a:
         return []
     ncols = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
+    rows = [r for r in map(_primitive_row, a) if any(r)]
+    best = None
+    for p in _primes():
+        pivots, images = _kernel_mod(rows, ncols, p)
+        if best is None or (-len(pivots), pivots) < (-len(best), best):
+            # higher rank or earlier pivots: every prime kept so far was unlucky
+            best, lifted, modulus = pivots, images, p
+        elif pivots == best:
+            inv = pow(modulus, -1, p)
+            lifted = [
+                [x + modulus * ((y - x) * inv % p) for x, y in zip(xs, ys)]
+                for xs, ys in zip(lifted, images)
+            ]
+            modulus *= p
+        else:
+            continue
+        free = sorted(set(range(ncols)) - set(best))
+        basis = _reconstruct(lifted, modulus, best, free, ncols)
+        if basis is not None and _certified(rows, free, basis):
+            return basis
+
+
+def _primitive_row(row):
+    """The row times the lcm of its denominators, divided by the gcd of the
+    result: a primitive integer row with the same kernel."""
+    for x in row:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"nullspace needs int or Fraction entries, got {type(x).__name__}")
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for n below 3.3e24."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2**62, largest first, found lazily."""
+    n = 2**62 - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _kernel_mod(rows, ncols, p):
+    """Pivot columns of the integer rows modulo p and, per free column f,
+    the pivot-column entries (mod p) of the kernel vector that is 1 on f
+    and 0 on the other free columns."""
+    m = [[x % p for x in row] for row in rows]
+    echelon = []  # (pivot column, row after the pivot, scaled so the pivot is 1)
+    for col in range(ncols):
+        if not m:
+            break
+        i = next((i for i, r in enumerate(m) if r[0]), None)
+        if i is None:
+            m = [r[1:] for r in m]
+            continue
+        head = m.pop(i)
+        inv = pow(head[0], -1, p)
+        tail = [x * inv % p for x in head[1:]]
+        rest = []
+        for r in m:
+            f = r[0]
+            rest.append([(x - f * y) % p for x, y in zip(r[1:], tail)] if f else r[1:])
+        m = rest
+        echelon.append((col, tail))
+    pivots = [c for c, _ in echelon]
+    images = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
         v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+        for c, tail in reversed(echelon):
+            if c < f:
+                v[c] = -sum(t * x for t, x in zip(tail, v[c + 1 : f + 1])) % p
+        images.append([v[c] for c in pivots])
+    return pivots, images
+
+
+def _reconstruct(lifted, modulus, pivots, free, ncols):
+    """Basis vectors with the rationals whose residues mod modulus are the
+    lifted pivot entries, or None if some residue has no small preimage."""
+    bound = math.isqrt(modulus // 2)
+    basis = []
+    for f, residues in zip(free, lifted):
+        v = [0] * ncols
+        v[f] = 1
+        for c, u in zip(pivots, residues):
+            # half extended Euclid: the first remainder <= bound, over its cofactor
+            r0, r1, s0, s1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound:
+                return None
+            v[c] = Fraction(r1, s1)
         basis.append(v)
     return basis
+
+
+def _certified(rows, free, basis):
+    """Exact proof that basis is the RREF kernel basis of the integer rows.
+
+    Each v must satisfy rows . v == 0, be 1 on its own free column, and be 0
+    on the other free columns and on every column after its own.  The rank
+    mod any prime is at most the rank over Q, so the kernel over Q has
+    dimension at most len(basis); these independent kernel vectors span
+    it.  A kernel vector whose last nonzero is at f makes f a free column
+    of the RREF, so the free columns agree, and the one kernel vector that
+    is 1 on f and 0 on the other free columns is the RREF one.
+    """
+    for f, v in zip(free, basis):
+        if any(v[g] != (1 if g == f else 0) for g in free) or any(v[f + 1 :]):
+            return False
+        den = math.lcm(*(x.denominator for x in v))
+        w = [(j, x.numerator * (den // x.denominator)) for j, x in enumerate(v) if x]
+        if any(sum(row[j] * x for j, x in w) for row in rows):
+            return False
+    return True
 
 
 def inverse(a):

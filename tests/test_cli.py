@@ -55,6 +55,24 @@ def test_check_fails_on_garbage_tensor(tmp_path, capsys):
     assert rep["report"]["pass"] is False
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_check_rejects_non_finite_scalar(tmp_path, capsys, token):
+    _, scene = run(capsys, "gen-scene", "--views", "3", "--seed", "5")
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene))
+    _, tens = run(capsys, "tensor", str(scene_path))
+    tens["tensor"]["data"][0][0][0] = float(token)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tens))  # Python's json writes the bare token
+    assert token in path.read_text()
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: non-finite number")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(capsys):
     code = main(["check", "/nonexistent/tensor.json"])
     assert code == 2

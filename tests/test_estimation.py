@@ -129,6 +129,26 @@ def test_underdetermined_raises():
     assert info.value.nullity >= 2
 
 
+def test_rational_quadrifocal_recovery_exact():
+    rng = random.Random(10)
+    sc = random_scene(4, SceneKind.EUCLIDEAN, rng=rng, mode=MotionMode.CAYLEY_RATIONAL)
+    t_true = multifocal(invariant_quadrifocal(), sc.frames)
+    cs = correspondences_quadrifocal(sc, 80, rng=rng)
+    est, rank = estimate_tensor((2, 2, 2, 2), cs)
+    assert rank == 80
+    assert alignment_error(est, t_true) == 0
+
+
+def test_rational_underdetermined_nullity_is_exact():
+    # 5 generic matches on 9 unknowns leave exactly 4 free columns
+    rng = random.Random(8)
+    sc = random_scene(2, SceneKind.EUCLIDEAN, rng=rng, mode=MotionMode.CAYLEY_RATIONAL)
+    cs = correspondences_bifocal(sc, 5, rng=rng)
+    with pytest.raises(AmbiguousSolutionError) as info:
+        estimate_tensor((1, 1), cs)
+    assert info.value.nullity == 4
+
+
 def test_linear_rows_shape_and_mismatch():
     rng = random.Random(9)
     sc = random_scene(2, SceneKind.EUCLIDEAN, rng=rng)

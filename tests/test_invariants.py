@@ -55,6 +55,11 @@ def test_weights():
     assert check_weight(invariant_wedge_pair(3, 0, 1), trials=20) == -1
 
 
+def test_weight_skips_unit_determinant_elements():
+    # this seed draws an element with det -1, which matches every odd power
+    assert check_weight(invariant_bifocal(), trials=2, seed=307 * 1000003 + 14) == -1
+
+
 def test_transform_is_an_action():
     import fractions
 
