@@ -22,7 +22,7 @@ class SingularMatrixError(ValueError):
 class GroupElement:
     """Invertible m x m matrix; a weighted frame."""
 
-    __slots__ = ("dim", "entries", "_det")
+    __slots__ = ("dim", "entries", "_det", "_inverse")
 
     def __init__(self, entries):
         rows = tuple(tuple(r) for r in entries)
@@ -34,6 +34,7 @@ class GroupElement:
         self._det = linalg.det([list(r) for r in rows])
         if self._det == 0:
             raise SingularMatrixError("GroupElement must be invertible")
+        self._inverse = None
 
     @classmethod
     def identity(cls, dim: int):
@@ -43,7 +44,12 @@ class GroupElement:
         return self._det
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(linalg.inverse([list(r) for r in self.entries]))
+        """g^-1, computed on the first call and kept: a frame is immutable,
+        and recovery projects every feature through the inverse of its view.
+        The inverse does not point back at its frame, so no cycle is made."""
+        if self._inverse is None:
+            self._inverse = GroupElement(linalg.inverse([list(r) for r in self.entries]))
+        return self._inverse
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.dim != other.dim:

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .coaction import GroupElement
 from .euclidean import MotionMode, embed, random_motion
-from .exterior import Multivector, index_subsets
+from .exterior import Multivector, index_subsets, minor
 from .focal import FocalTensor, contract
 from .scalars import is_exact
 
@@ -98,10 +98,13 @@ def random_scene(
 
 def project_point(g: GroupElement, X):
     """Image coordinates of the ambient point X in the view with frame g:
-    components 1..3 of g^-1 X, valid when component 0 is nonzero."""
+    components 1..3 of g^-1 X, valid when component 0 is nonzero and they
+    are not all zero (X is not the view's centre)."""
     y = g.inverse().apply(X)
     if y[0] == 0 or (not is_exact(y[0]) and abs(y[0]) < 1e-12):
         raise DegenerateProjectionError("point projects into the base locus")
+    if not any(y[1:]):
+        raise DegenerateProjectionError("point is the centre of the view")
     return y[1:]
 
 
@@ -120,9 +123,7 @@ def project_line(g: GroupElement, L: Multivector) -> Multivector:
         for C in subsets:
             v = L.coeff(C)
             if v != 0:
-                total = total + linalg.det(
-                    [[ginv.entries[r][c] for c in C] for r in R]
-                ) * v
+                total = total + minor(ginv, R, C) * v
         if total != 0:
             coeffs[R] = total
     return Multivector(g.dim, 2, coeffs)

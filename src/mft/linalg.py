@@ -6,14 +6,17 @@ usual numerics.  These matrices are tiny (at most about 10x10), so Gaussian
 elimination with max-abs pivoting is all they need.  The exception is
 ``nullspace``, which serves the recovery systems (up to 80x81) and is
 exact-only: it works modulo primes and certifies the lifted result over the
-integers.  numpy is deliberately avoided here so the exact-rational lane
-stays exact.
+integers.  Its elimination modulo a prime p < 2**31 runs on int64 numpy
+arrays: residues stay in [0, p), so every product of two is below 2**62
+and the arithmetic is exact integer arithmetic, never float or Fraction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def identity(n, one=1):
@@ -116,7 +119,7 @@ def nullspace(a):
     column, 0 on the other free columns, Fraction entries on the pivot
     columns.  This is the basis read off ``rref(a)``.
 
-    Multi-modular: the kernel is computed modulo primes below 2**62, lifted
+    Multi-modular: the kernel is computed modulo primes below 2**31, lifted
     by CRT and rational reconstruction, and returned only once
     ``_certified`` proves it exactly (Wang, Guy & Davenport 1982; Dixon
     1982).  Only finitely many primes are unlucky, so the loop ends.
@@ -183,8 +186,9 @@ def _is_prime(n):
 
 
 def _primes():
-    """The primes below 2**62, largest first, found lazily."""
-    n = 2**62 - 1
+    """The primes below 2**31 (the int64 bound of _kernel_mod), largest
+    first, found lazily."""
+    n = 2**31 - 1
     while True:
         if _is_prime(n):
             yield n
@@ -194,34 +198,30 @@ def _primes():
 def _kernel_mod(rows, ncols, p):
     """Pivot columns of the integer rows modulo p and, per free column f,
     the pivot-column entries (mod p) of the kernel vector that is 1 on f
-    and 0 on the other free columns."""
-    m = [[x % p for x in row] for row in rows]
-    echelon = []  # (pivot column, row after the pivot, scaled so the pivot is 1)
+    and 0 on the other free columns.
+
+    Gauss-Jordan on an int64 array, exact: entries are reduced to [0, p)
+    after every step and p < 2**31, so each update x - f * y lies in
+    (-2**62, 2**31) and never wraps."""
+    m = np.array([[x % p for x in row] for row in rows], dtype=np.int64).reshape(len(rows), ncols)
+    pivots = []
     for col in range(ncols):
-        if not m:
+        r = len(pivots)
+        if r == len(m):
             break
-        i = next((i for i, r in enumerate(m) if r[0]), None)
-        if i is None:
-            m = [r[1:] for r in m]
+        nonzero = np.flatnonzero(m[r:, col])
+        if not len(nonzero):
             continue
-        head = m.pop(i)
-        inv = pow(head[0], -1, p)
-        tail = [x * inv % p for x in head[1:]]
-        rest = []
-        for r in m:
-            f = r[0]
-            rest.append([(x - f * y) % p for x, y in zip(r[1:], tail)] if f else r[1:])
-        m = rest
-        echelon.append((col, tail))
-    pivots = [c for c, _ in echelon]
-    images = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[f] = 1
-        for c, tail in reversed(echelon):
-            if c < f:
-                v[c] = -sum(t * x for t, x in zip(tail, v[c + 1 : f + 1])) % p
-        images.append([v[c] for c in pivots])
+        i = r + int(nonzero[0])
+        m[[r, i]] = m[[i, r]]
+        m[r] = m[r] * pow(int(m[r, col]), -1, p) % p
+        f = m[:, col].copy()
+        f[r] = 0
+        m -= f[:, None] * m[r]
+        m %= p
+        pivots.append(col)
+    free = sorted(set(range(ncols)) - set(pivots))
+    images = (-m[: len(pivots), free].T % p).tolist()
     return pivots, images
 
 

@@ -43,5 +43,8 @@ def scalar_to_json(x):
 
 def scalar_from_json(v):
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {v!r}") from None
     return v

@@ -73,6 +73,21 @@ def test_check_rejects_non_finite_scalar(tmp_path, capsys, token):
     assert captured.err.count("\n") == 1
 
 
+def test_check_rejects_zero_denominator(tmp_path, capsys):
+    _, scene = run(capsys, "--mode", "rational", "gen-scene", "--views", "3", "--seed", "5")
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene))
+    _, tens = run(capsys, "tensor", str(scene_path))
+    tens["tensor"]["data"][0][0][0] = "1/0"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tens))
+    code = main(["--mode", "rational", "check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in scalar '1/0'\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code = main(["check", "/nonexistent/tensor.json"])
     assert code == 2

@@ -120,6 +120,17 @@ def test_basepoint_and_inverse():
     assert (g @ g.inverse()) == GroupElement.identity(4)
 
 
+@pytest.mark.parametrize("one", [Fraction(1), 1.0])
+def test_inverse_is_computed_once(one):
+    g = GroupElement([[one * x for x in row]
+                      for row in [[2, 0, 0, 0], [2, 1, 0, 0], [3, 0, 1, 0], [4, 0, 0, 1]]])
+    inv = g.inverse()
+    assert inv is g.inverse()
+    assert g @ inv == GroupElement.identity(4)
+    # the inverse keeps no reference back to its frame
+    assert inv.inverse() == g and inv.inverse() is not g
+
+
 def test_group_element_json_round_trip():
     g = GroupElement([[Fraction(1, 2), 1], [0, 3]])
     assert GroupElement.from_json(g.to_json()) == g

@@ -38,6 +38,25 @@ def test_project_point_inverse_convention():
         project_point(g, [0, 1, 0, 0])
 
 
+def test_project_point_rejects_the_view_centre():
+    g = GroupElement([[1, 0, 0, 0], [2, 1, 0, 0], [3, 0, 1, 0], [4, 0, 0, 1]])
+    with pytest.raises(DegenerateProjectionError):
+        project_point(g, g.basepoint())
+
+
+@pytest.mark.parametrize("key", [
+    "exact-recovery/3/38/7",  # a line view would need a line through the zero point
+    "exact-recovery/4/118/4",  # a point view would give a zero row
+])
+def test_rational_trifocal_resamples_points_on_a_view_centre(key):
+    rng = random.Random(key)
+    sc = random_scene(3, SceneKind.EUCLIDEAN, rng=rng, mode=MotionMode.CAYLEY_RATIONAL)
+    cs = correspondences_trifocal(sc, 26, rng=rng)
+    est, rank = estimate_tensor((2, 1, 2), cs)
+    assert rank == 26
+    assert alignment_error(est, multifocal(invariant_trifocal(), sc.frames)) == 0
+
+
 def test_project_line_drops_base_terms():
     g = GroupElement.identity(4)
     L = Multivector(4, 2, {(0, 1): 5, (1, 2): 7})

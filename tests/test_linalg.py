@@ -82,6 +82,42 @@ def test_nullspace_with_unlucky_prime(a, p, data):
     assert_rref_kernel(b)
 
 
+def kernel_mod_reference(rows, ncols, p):
+    """Gauss-Jordan over GF(p) on Python ints: the loop that
+    linalg._kernel_mod runs on int64 arrays."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][col]:
+                f = m[k][col]
+                m[k] = [(x - f * y) % p for x, y in zip(m[k], m[r])]
+        pivots.append(col)
+    free = [c for c in range(ncols) if c not in pivots]
+    return pivots, [[-m[i][f] % p for i in range(len(pivots))] for f in free]
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_nullspace_entries_minus_one_mod_first_prime(nrows, ncols, data):
+    """Every residue mod the first prime is p - 1, the largest there is, so
+    the int64 products reach (p - 1)**2, just below 2**62."""
+    a = data.draw(st.lists(
+        st.lists(st.integers(-2, 2).map(lambda k: k * FIRST_PRIME - 1),
+                 min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows))
+    assert_rref_kernel(a)
+    for p in (FIRST_PRIME, SECOND_PRIME):
+        assert linalg._kernel_mod(a, ncols, p) == kernel_mod_reference(a, ncols, p)
+
+
 @pytest.mark.parametrize("p", [FIRST_PRIME, SECOND_PRIME])
 def test_prime_dividing_the_pivot_column(p):
     # mod p the pivot moves from column 0 to column 1
@@ -131,5 +167,5 @@ def test_is_prime_matches_trial_division():
     # strong pseudoprimes to small bases, and a Carmichael number
     for n in (2047, 3215031751, 3825123056546413051, 561):
         assert not linalg._is_prime(n)
-    assert FIRST_PRIME == 2**62 - 57
+    assert FIRST_PRIME == 2**31 - 1
     assert linalg._is_prime(2**61 - 1)
