@@ -118,7 +118,10 @@ def test_nullspace_entries_minus_one_mod_first_prime(nrows, ncols, data):
         assert linalg._kernel_mod(a, ncols, p) == kernel_mod_reference(a, ncols, p)
 
 
-@pytest.mark.parametrize("p", [FIRST_PRIME, SECOND_PRIME])
+# the two primes nullspace reduces modulo first, and two primes near 2**62
+# (above the int64 bound of _kernel_mod), whose multiples must be reduced
+# exactly before they reach the int64 arrays
+@pytest.mark.parametrize("p", [FIRST_PRIME, SECOND_PRIME, 2**62 - 87, 2**62 - 57])
 def test_prime_dividing_the_pivot_column(p):
     # mod p the pivot moves from column 0 to column 1
     assert assert_rref_kernel([[p, 1, 0]]) == [[Fraction(-1, p), 1, 0], [Fraction(0), 0, 1]]
