@@ -5,9 +5,8 @@ GL-invariants, the multifocal contraction, the polynomial constraint
 corpus, and linear recovery from synthetic correspondences.
 """
 
-from .coaction import GroupElement, PsiMatrix, SingularMatrixError, compound_matrix, psi
+from .coaction import GroupElement, SingularMatrixError, compound_matrix, psi
 from .constraints import (
-    ConstraintReport,
     TrifocalSlices,
     adjugate,
     bifocal_q,
@@ -22,11 +21,9 @@ from .constraints import (
 )
 from .estimation import (
     AmbiguousSolutionError,
-    Correspondence,
     DegenerateProjectionError,
     Scene,
     SceneKind,
-    align_scale,
     alignment_error,
     correspondences_bifocal,
     correspondences_quadrifocal,
@@ -59,7 +56,6 @@ from .exterior import (
 )
 from .focal import FocalTensor, Section, apply_section, contract, incidence, lift, multifocal
 from .invariants import (
-    CATALOG,
     Invariant,
     InvarianceViolationError,
     catalog_lookup,
@@ -71,6 +67,6 @@ from .invariants import (
     transform,
 )
 from .polyforms import PolyForm, cartan_apply, derham_d, koszul_delta
-from .scalars import TOL, FLOAT_MODE, RATIONAL_MODE
+from .scalars import TOL
 
 __version__ = "0.1.0"

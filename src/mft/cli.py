@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .constraints import check_all
+from .constraints import TrifocalSlices, check_all, euclidean_identity_suite, rank_one_certificates
 from .coaction import GroupElement
 from .estimation import (
     AmbiguousSolutionError,
@@ -25,12 +25,13 @@ from .estimation import (
     correspondences_quadrifocal,
     correspondences_trifocal,
     estimate_tensor,
+    random_scene,
     residuals,
 )
-from .euclidean import MotionMode, embed, random_motion
+from .euclidean import MotionMode, embed, random_motion, trifocal_euclidean
 from .focal import FocalTensor, multifocal
 from .invariants import catalog_lookup, check_weight
-from .polyforms import PolyForm, cartan_apply
+from .polyforms import cartan_apply, random_form
 from .scalars import TOL, scalar_to_json
 
 SCHEMA = "mft/1"
@@ -93,6 +94,8 @@ def _frames_from_scene(obj):
 def cmd_tensor(args):
     scene = _load_json(args.scene)
     frames = _frames_from_scene(scene)
+    if args.invariant is None and len(frames) not in _INVARIANT_OF_VIEWS:
+        raise ValueError(f"mft tensor needs a scene of 2 to 4 frames, got {len(frames)}")
     inv = catalog_lookup(args.invariant or _INVARIANT_OF_VIEWS[len(frames)])
     t = multifocal(inv, frames)
     _emit({"invariant": inv.name, "tensor": t.to_json()})
@@ -110,8 +113,6 @@ def cmd_check(args):
 def cmd_estimate(args):
     mode = _mode(args)
     rng = random.Random(args.seed)
-    from .estimation import random_scene
-
     scene = random_scene(
         args.views, SceneKind.EUCLIDEAN, rng=rng, mode=_motion_mode(mode)
     )
@@ -152,13 +153,6 @@ def cmd_estimate(args):
 def cmd_verify_identities(args):
     mode = _mode(args)
     rng = random.Random(args.seed)
-    from .constraints import (
-        TrifocalSlices,
-        euclidean_identity_suite,
-        rank_one_certificates,
-    )
-    from .euclidean import trifocal_euclidean
-
     worst = 0.0
     reports = []
     ok = True
@@ -184,7 +178,7 @@ def cmd_verify_cartan(args):
     for dim in (2, 3, 4):
         for p in range(0, dim + 1):
             for q in range(0, 4 - p):
-                f = _random_polyform(dim, p, q, rng)
+                f = random_form(dim, p, q, rng)
                 lhs = cartan_apply(f)
                 rhs = (p + q) * f
                 checked += 1
@@ -192,19 +186,6 @@ def cmd_verify_cartan(args):
                     failures.append({"dim": dim, "p": p, "q": q})
     _emit({"checked": checked, "failures": failures, "pass": not failures})
     return 0 if not failures else 1
-
-
-def _random_polyform(dim, p, q, rng):
-    from fractions import Fraction
-    from itertools import combinations, combinations_with_replacement
-
-    f = PolyForm.zero(dim, p, q)
-    for anti in combinations(range(dim), p):
-        for sym in combinations_with_replacement(range(dim), q):
-            c = Fraction(rng.randint(-4, 4))
-            if c:
-                f = f + PolyForm.term(dim, anti, sym, c)
-    return f
 
 
 def cmd_invariant(args):

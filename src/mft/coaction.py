@@ -10,6 +10,8 @@ the minor of g at rows R and columns {0} | J.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import linalg
 from .exterior import index_subsets, minor
 from .scalars import scalar_from_json, scalar_to_json
@@ -83,6 +85,17 @@ class GroupElement:
         return cls([[scalar_from_json(x) for x in row] for row in obj])
 
 
+def random_frame(m: int, rng) -> GroupElement:
+    """Random invertible m x m frame with integer entries in [-5, 5], held
+    as Fractions; singular draws are redrawn."""
+    while True:
+        entries = [[Fraction(rng.randint(-5, 5)) for _ in range(m)] for _ in range(m)]
+        try:
+            return GroupElement(entries)
+        except SingularMatrixError:
+            continue
+
+
 def compound_matrix(g, p: int):
     """Induced action of g on Lambda^(p+1): the matrix of (p+1)-minors.
 
@@ -107,9 +120,6 @@ class PsiMatrix:
         self.rows = index_subsets(dim, degree + 1)
         self.cols = index_subsets(dim, degree, start=1)
         self.entries = entries
-
-    def entry(self, R, J):
-        return self.entries[self.rows.index(tuple(R))][self.cols.index(tuple(J))]
 
     def row(self, R):
         return list(self.entries[self.rows.index(tuple(R))])

@@ -14,26 +14,24 @@ from itertools import combinations, permutations, product
 
 from . import linalg
 from .euclidean import EuclideanMotion, tensor_to_identified
+from .exterior import minor, perm_sign
 from .focal import FocalTensor
-from .scalars import TOL, is_exact, is_zero
+from .scalars import TOL, div, is_zero
 
 
 # ---------------------------------------------------------------------------
 # 3x3 matrix utilities
 
 
+_REST = [(1, 2), (0, 2), (0, 1)]  # row or column indices without index i
+
+
 def adjugate(mtx):
-    """Classical adjoint: transpose of the cofactor matrix."""
-    m = mtx
-    cof = [
-        [
-            m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)
-        ]
+    """Classical adjoint of a 3x3 matrix: the transpose of its cofactors."""
+    return [
+        [(-1) ** (i + j) * minor(mtx, _REST[j], _REST[i]) for j in range(3)]
         for i in range(3)
     ]
-    return linalg.transpose(cof)
 
 
 def _tr(m):
@@ -42,18 +40,6 @@ def _tr(m):
 
 def _mmt(m):
     return linalg.mat_mul(m, linalg.transpose(m))
-
-
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def _half(x):
-    return Fraction(x, 2) if isinstance(x, int) else (x / 2 if not is_exact(x) else x * Fraction(1, 2))
 
 
 def _outer(x, y):
@@ -80,7 +66,7 @@ def demazure_c(mtx):
     """Demazure's cubic matrix (1/2) tr(m m^t) m - m m^t m; zero exactly on
     the essential variety."""
     A = _mmt(mtx)
-    t = _half(_tr(A))
+    t = div(_tr(A), 2)
     Am = linalg.mat_mul(A, mtx)
     return [[t * mtx[i][j] - Am[i][j] for j in range(3)] for i in range(3)]
 
@@ -89,7 +75,7 @@ def bifocal_q(mtx):
     """The quartic (1/2) (tr m m^t)^2 - tr[(m m^t)^2]."""
     A = _mmt(mtx)
     A2 = linalg.mat_mul(A, A)
-    return _half(_tr(A)) * _tr(A) - _tr(A2)
+    return div(_tr(A), 2) * _tr(A) - _tr(A2)
 
 
 def frobenius_identity_residual(mtx):
@@ -101,8 +87,8 @@ def frobenius_identity_residual(mtx):
     """
     c = demazure_c(mtx)
     lhs = _tr(_mmt(c))
-    d = _det3(mtx)
-    return lhs + _half(_tr(_mmt(mtx))) * bifocal_q(mtx) - 3 * d * d
+    d = linalg.det(mtx)
+    return lhs + div(_tr(_mmt(mtx)), 2) * bifocal_q(mtx) - 3 * d * d
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +109,6 @@ class TrifocalSlices:
             [[m[i][j][k] for k in range(3)] for i in range(3)] for j in range(3)
         ]
         return cls(*slices)
-
-    @classmethod
-    def from_identified(cls, m):
-        return cls(*[[[m[i][j][k] for k in range(3)] for i in range(3)] for j in range(3)])
 
     @cached_property
     def a(self):
@@ -178,9 +160,12 @@ def _det_cubic_inverse():
 def trifocal_det_cubics(ts: TrifocalSlices):
     """The 10 coefficients of det(x1 t1 + x2 t2 + x3 t3) in the fixed
     monomial order; all vanish on the trifocal variety."""
-    evals = [_det3(ts.t_of(x)) for x in _DET_CUBIC_POINTS]
+    evals = [linalg.det(ts.t_of(x)) for x in _DET_CUBIC_POINTS]
     inv = _det_cubic_inverse()
     return [sum(inv[i][j] * evals[j] for j in range(10)) for i in range(10)]
+
+
+_SIGNED_PERMUTATIONS = [(perm_sign(s), s) for s in permutations(range(3))]
 
 
 def epipolar_sextics(ts: TrifocalSlices):
@@ -196,22 +181,12 @@ def epipolar_sextics(ts: TrifocalSlices):
     for i, j, k in product(range(3), repeat=3):
         r_val = 0
         l_val = 0
-        for sigma in permutations(range(3)):
-            sgn = _perm_sign(sigma)
+        for sgn, sigma in _SIGNED_PERMUTATIONS:
             r_val = r_val + sgn * a1[i][sigma[0]] * a2[j][sigma[1]] * a3[k][sigma[2]]
             l_val = l_val + sgn * a1[sigma[0]][i] * a2[sigma[1]][j] * a3[sigma[2]][k]
         right.append(r_val)
         left.append(l_val)
     return right, left
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def braid_residual(ts: TrifocalSlices):
@@ -259,7 +234,7 @@ class ConstraintReport:
         vals = [abs(v) for v in residuals]
         mx = max(vals) if vals else 0
         mean = sum(vals) / len(vals) if vals else 0
-        self.families.append(Family(name, mx, mean, len(vals), _passes(mx, tol)))
+        self.families.append(Family(name, mx, mean, len(vals), is_zero(mx, tol)))
 
     @property
     def passed(self):
@@ -281,12 +256,6 @@ class ConstraintReport:
             "pass": self.passed,
             **({"flags": self.flags} if self.flags else {}),
         }
-
-
-def _passes(value, tol):
-    if is_exact(value):
-        return value == 0
-    return abs(value) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +285,7 @@ def euclidean_identity_suite(
     for i in range(3):
         prod = linalg.mat_mul(t[i], adj[i])
         res.extend(v for row in prod for v in row)
-        res.append(_det3(t[i]))
+        res.append(linalg.det(t[i]))
     report.add("f2:slice-singular", res, tol)
 
     res = []
@@ -473,7 +442,7 @@ def check_all(tensor: FocalTensor, tol: float = TOL) -> ConstraintReport:
         report.flags["rank_deficient"] = True
         report.add("det-cubics", [0], tol)
         return report
-    ts = ts.scaled(1 / mx if not is_exact(mx) else Fraction(1) / Fraction(mx))
+    ts = ts.scaled(div(1, mx))
 
     slice_ranks = [linalg.rank(ti) for ti in ts.t]
     if any(rk < 2 for rk in slice_ranks):

@@ -15,11 +15,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .coaction import GroupElement
+from .coaction import GroupElement, random_frame
 from .euclidean import MotionMode, embed, random_motion
 from .exterior import Multivector, index_subsets, minor
 from .focal import FocalTensor, contract
-from .scalars import is_exact
+from .scalars import div, is_exact
 
 
 class DegenerateProjectionError(ValueError):
@@ -75,20 +75,7 @@ def random_scene(
         motions = [random_motion(mode=mode, rng=rng) for _ in range(n_views)]
         return Scene([embed(mo) for mo in motions], motions=motions, kind=kind)
     if kind is SceneKind.GENERAL:
-        frames = []
-        for _ in range(n_views):
-            for _attempt in range(100):
-                entries = [
-                    [Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)
-                ]
-                try:
-                    frames.append(GroupElement(entries))
-                    break
-                except ValueError:
-                    continue
-            else:
-                raise RuntimeError("failed to sample an invertible frame")
-        return Scene(frames, kind=kind)
+        return Scene([random_frame(4, rng) for _ in range(n_views)], kind=kind)
     raise ValueError(f"unknown scene kind {kind!r}")
 
 
@@ -285,10 +272,10 @@ def solve_nullspace(rows, tol: float = 1e-7):
             )
         vec = [float(v) for v in vt[-1]]
     mx = max(abs(v) for v in vec)
-    vec = [v / mx for v in vec]
+    vec = [div(v, mx) for v in vec]
     for v in vec:
         if v != 0:
-            if (is_exact(v) and v < 0) or (not is_exact(v) and v < -0.0):
+            if v < 0:
                 vec = [-x for x in vec]
             break
     return vec, rank
@@ -308,7 +295,7 @@ def align_scale(estimate: FocalTensor, target: FocalTensor):
     denom = sum(x * x for x in e)
     if denom == 0:
         raise ValueError("cannot align a zero estimate")
-    return sum(x * y for x, y in zip(e, t)) / denom
+    return div(sum(x * y for x, y in zip(e, t)), denom)
 
 
 def alignment_error(estimate: FocalTensor, target: FocalTensor):
@@ -317,6 +304,6 @@ def alignment_error(estimate: FocalTensor, target: FocalTensor):
     mx = target.max_abs()
     if mx == 0:
         raise ValueError("target tensor is zero")
-    t = target.scale(1 / mx if not is_exact(mx) else Fraction(1) / Fraction(mx))
+    t = target.scale(div(1, mx))
     lam = align_scale(estimate, t)
     return max(abs(lam * x - y) for x, y in zip(estimate.flat(), t.flat()))

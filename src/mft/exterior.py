@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import linalg
 from .scalars import TOL, is_zero, scalar_from_json, scalar_to_json
 
 
@@ -46,6 +47,12 @@ def merge_sign(a: tuple, b: tuple):
             sign = -sign
     merged = tuple(sorted(a + b))
     return sign, merged
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation of range(n): (-1)^(number of inversions)."""
+    inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
 
 
 def _check_key(idxs, dim, degree):
@@ -196,33 +203,7 @@ def minor(g, rows, cols):
     if len(rows) != len(cols):
         raise ValueError(f"minor needs equal row/col counts, got {rows} vs {cols}")
     m = _entries(g)
-    if not rows:
-        return 1
-    sub = [[m[r][c] for c in cols] for r in rows]
-    return _det_small(sub)
-
-
-def _det_small(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if n == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    # Laplace along the first row; fine for the 4x4 case this package needs
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_small(sub)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    return linalg.det([[m[r][c] for c in cols] for r in rows])
 
 
 def is_decomposable(a: Multivector, tol: float = TOL) -> bool:

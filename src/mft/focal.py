@@ -9,6 +9,7 @@ trifocal, and quadrifocal tensors.
 from __future__ import annotations
 
 import enum
+import math
 from itertools import product
 
 from .coaction import GroupElement, compound_matrix, psi
@@ -19,106 +20,104 @@ from .scalars import TOL, is_zero, scalar_from_json, scalar_to_json
 
 class FocalTensor:
     """n-way array over Lambda^(p_i) of the quotient space W, axis i of
-    dimension C(m-1, p_i); stored un-normalized (a weighted representative)."""
+    dimension C(m-1, p_i); stored un-normalized (a weighted representative).
 
-    __slots__ = ("dim", "signature", "data", "axes")
+    The cells are one flat list in row-major order (last axis fastest), each
+    axis running over its subsets in lexicographic order."""
 
-    def __init__(self, dim: int, signature, data):
+    __slots__ = ("dim", "signature", "axes", "values", "_positions", "_strides")
+
+    def __init__(self, dim: int, signature, values):
         self.dim = dim
         self.signature = tuple(signature)
         self.axes = [index_subsets(dim, p, start=1) for p in self.signature]
-        expected = [len(a) for a in self.axes]
-        self.data = data
-        shape = _shape(data)
-        if shape != expected:
-            raise ValueError(f"data shape {shape} does not match axes {expected}")
+        self._positions = [{J: i for i, J in enumerate(axis)} for axis in self.axes]
+        shape = [len(a) for a in self.axes]
+        self._strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
+        self.values = list(values)
+        if len(self.values) != math.prod(shape):
+            raise ValueError(f"{len(self.values)} values do not fill axes {shape}")
 
     @classmethod
     def zeros(cls, dim: int, signature):
-        signature = tuple(signature)
-        axes = [index_subsets(dim, p, start=1) for p in signature]
+        size = math.prod(len(index_subsets(dim, p, start=1)) for p in signature)
+        return cls(dim, signature, [0] * size)
 
-        def build(level):
-            if level == len(axes):
-                return 0
-            return [build(level + 1) for _ in axes[level]]
-
-        return cls(dim, signature, build(0))
+    def _offset(self, subsets):
+        return sum(s * pos[tuple(J)] for s, pos, J in zip(self._strides, self._positions, subsets))
 
     def get(self, *subsets):
-        cell = self.data
-        for axis, J in zip(self.axes, subsets):
-            cell = cell[axis.index(tuple(J))]
-        return cell
+        return self.values[self._offset(subsets)]
 
     def set(self, subsets, value):
-        cell = self.data
-        for axis, J in zip(self.axes[:-1], subsets[:-1]):
-            cell = cell[axis.index(tuple(J))]
-        cell[self.axes[-1].index(tuple(subsets[-1]))] = value
+        self.values[self._offset(subsets)] = value
 
     def cells(self):
         """Iterate (index tuple of subsets, value) in lexicographic order."""
-        for combo in product(*self.axes):
-            yield combo, self.get(*combo)
+        return zip(product(*self.axes), self.values)
 
     def flat(self):
-        """Row-major flattening in lexicographic axis order."""
-        return [v for _, v in self.cells()]
+        """Row-major flattening in lexicographic axis order (a copy)."""
+        return list(self.values)
 
     @classmethod
     def from_flat(cls, dim, signature, values):
-        t = cls.zeros(dim, signature)
-        it = iter(values)
-        for combo in product(*t.axes):
-            t.set(combo, next(it))
-        return t
+        return cls(dim, signature, values)
 
     def scale(self, s):
-        return FocalTensor.from_flat(self.dim, self.signature, [v * s for v in self.flat()])
+        return FocalTensor(self.dim, self.signature, [v * s for v in self.values])
 
     def max_abs(self):
-        return max((abs(v) for v in self.flat()), default=0)
+        return max((abs(v) for v in self.values), default=0)
 
     def is_zero(self, tol: float = TOL):
-        return all(is_zero(v, tol) for v in self.flat())
+        return all(is_zero(v, tol) for v in self.values)
 
     def __eq__(self, other):
         return (
             isinstance(other, FocalTensor)
             and self.dim == other.dim
             and self.signature == other.signature
-            and self.flat() == other.flat()
+            and self.values == other.values
         )
 
     def __repr__(self):
         return f"FocalTensor(dim={self.dim}, signature={self.signature})"
 
     def to_json(self):
-        def conv(node):
-            if isinstance(node, list):
-                return [conv(x) for x in node]
-            return scalar_to_json(node)
+        """``data`` nests the cells one list level per axis."""
 
-        return {"dim": self.dim, "signature": list(self.signature), "data": conv(self.data)}
+        def nest(level, offset):
+            if level == len(self.axes):
+                return scalar_to_json(self.values[offset])
+            step = self._strides[level]
+            return [nest(level + 1, offset + i * step) for i in range(len(self.axes[level]))]
+
+        return {"dim": self.dim, "signature": list(self.signature), "data": nest(0, 0)}
 
     @classmethod
     def from_json(cls, obj):
-        def conv(node):
-            if isinstance(node, list):
-                return [conv(x) for x in node]
-            return scalar_from_json(node)
+        """Inverse of to_json; every level of ``data`` must have its axis'
+        length and every cell must be a scalar, else ValueError."""
+        dim, signature = obj["dim"], obj["signature"]
+        if type(dim) is not int or not isinstance(signature, list) or any(
+            type(p) is not int for p in signature
+        ):
+            raise ValueError("tensor dim and signature must be integers")
+        shape = [len(index_subsets(dim, p, start=1)) for p in signature]
+        values = []
 
-        return cls(obj["dim"], tuple(obj["signature"]), conv(obj["data"]))
+        def walk(node, level):
+            if level == len(shape):
+                values.append(scalar_from_json(node))
+            elif isinstance(node, list) and len(node) == shape[level]:
+                for x in node:
+                    walk(x, level + 1)
+            else:
+                raise ValueError(f"tensor data does not match axes {shape}")
 
-
-def _shape(data):
-    shape = []
-    node = data
-    while isinstance(node, list):
-        shape.append(len(node))
-        node = node[0] if node else None
-    return shape
+        walk(obj["data"], 0)
+        return cls(dim, signature, values)
 
 
 class Section(enum.Enum):
@@ -138,21 +137,19 @@ def multifocal(I: Invariant, frames) -> FocalTensor:
     degrees = I.degrees
     psis = [psi(g, p) for g, p in zip(frames, degrees)]
     out = FocalTensor.zeros(I.dim, degrees)
-    axes = out.axes
+    values = out.values
     for key, c in I.coeffs.items():
         rows = [ps.row(R) for ps, R in zip(psis, key)]
-        for combo_pos in product(*(range(len(a)) for a in axes)):
+        # product() runs over the cells in row-major order, so the offset
+        # of a cell is its position in the iteration
+        for offset, factors in enumerate(product(*rows)):
             val = c
-            for row, pos in zip(rows, combo_pos):
-                val = val * row[pos]
+            for x in factors:
+                val = val * x
                 if val == 0:
                     break
-            if val == 0:
-                continue
-            cell = out.data
-            for pos in combo_pos[:-1]:
-                cell = cell[pos]
-            cell[combo_pos[-1]] = cell[combo_pos[-1]] + val
+            if val != 0:
+                values[offset] = values[offset] + val
     return out
 
 

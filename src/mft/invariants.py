@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from .coaction import GroupElement
-from .exterior import index_subsets, merge_sign, minor
+from .coaction import GroupElement, random_frame
+from .exterior import index_subsets, merge_sign, minor, perm_sign
 from .scalars import scalar_to_json
 
 
@@ -124,22 +124,13 @@ def invariant_quadrifocal() -> Invariant:
     coeffs = {}
     for perm in permutations(range(4)):
         key = []
-        total = _perm_sign(perm)
+        total = perm_sign(perm)
         for c in perm:
             R = tuple(j for j in range(4) if j != c)
             key.append(R)
             total *= comp_sign[R][1]
         coeffs[tuple(key)] = total
     return Invariant(4, (3, 3, 3, 3), coeffs, name="quadrifocal")
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def transform(g: GroupElement, inv: Invariant) -> Invariant:
@@ -177,19 +168,6 @@ def transform(g: GroupElement, inv: Invariant) -> Invariant:
     return Invariant(inv.dim, inv.signature, coeffs, name=inv.name)
 
 
-def _random_rational_group_element(m, rng):
-    """Random integer group element with |det| > 1: a unit determinant
-    matches every power of itself, so it cannot measure a weight."""
-    while True:
-        entries = [[Fraction(rng.randint(-5, 5)) for _ in range(m)] for _ in range(m)]
-        try:
-            g = GroupElement(entries)
-        except ValueError:
-            continue
-        if abs(g.det()) != 1:
-            return g
-
-
 def check_weight(inv: Invariant, trials: int = 20, seed: int = 0) -> int:
     """Measure the integer k with g . I = det(g)^k I, exactly, over random
     rational group elements.  Raises InvarianceViolationError otherwise."""
@@ -198,7 +176,9 @@ def check_weight(inv: Invariant, trials: int = 20, seed: int = 0) -> int:
     rng = random.Random(seed)
     found_k = None
     for _ in range(trials):
-        g = _random_rational_group_element(inv.dim, rng)
+        g = random_frame(inv.dim, rng)
+        while abs(g.det()) == 1:  # a unit determinant matches every power
+            g = random_frame(inv.dim, rng)
         moved = transform(g, inv)
         k = _match_det_power(inv, moved, g)
         if k is None:

@@ -2,8 +2,10 @@
 
 Everything here works on plain nested lists and is agnostic to the scalar
 type: with Fraction entries all results are exact, with floats they are the
-usual numerics.  These matrices are tiny (at most about 10x10), so Gaussian
-elimination with max-abs pivoting is all they need.  The exception is
+usual numerics.  ``det`` is the package's one determinant: every minor,
+adjugate entry and frame determinant is computed by it.  These matrices are
+tiny (at most about 10x10), so Gaussian elimination with max-abs pivoting is
+all they need.  The exception is
 ``nullspace``, which serves the recovery systems (up to 80x81) and is
 exact-only: it works modulo primes and certifies the lifted result over the
 integers.  Its elimination modulo a prime p < 2**31 runs on int64 numpy
@@ -17,6 +19,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from .scalars import div
 
 
 def identity(n, one=1):
@@ -39,17 +43,23 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    return [[x * s for x in row] for row in a]
-
-
 def det(a):
-    """Determinant via elimination; exact when entries are exact."""
+    """Determinant; exact when entries are exact.
+
+    Up to 3x3 it is the division-free cofactor expansion, so int entries
+    give an int; larger matrices use pivoted elimination.
+    """
     n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if n == 3:
+        return (
+            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+        )
     m = [list(row) for row in a]
     sign = 1
     result = 1
@@ -63,16 +73,10 @@ def det(a):
         p = m[col][col]
         result = result * p
         for r in range(col + 1, n):
-            factor = _div(m[r][col], p)
+            factor = div(m[r][col], p)
             for c in range(col, n):
                 m[r][c] = m[r][c] - factor * m[col][c]
     return sign * result
-
-
-def _div(x, y):
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-        return Fraction(x) / Fraction(y)
-    return x / y
 
 
 def rref(a):
@@ -90,7 +94,7 @@ def rref(a):
             continue
         m[row], m[pivot] = m[pivot], m[row]
         p = m[row][col]
-        m[row] = [_div(x, p) for x in m[row]]
+        m[row] = [div(x, p) for x in m[row]]
         for r in range(nrows):
             if r != row and m[r][col] != 0:
                 factor = m[r][col]

@@ -9,6 +9,9 @@ multiplicity.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+
 from .scalars import TOL, is_zero
 
 MAX_DIM = 5
@@ -151,3 +154,13 @@ def cartan_apply(f: PolyForm) -> PolyForm:
     if f.q >= 1 and f.p < f.dim:
         total = total + koszul_delta(derham_d(f))
     return total
+
+
+def random_form(dim: int, p: int, q: int, rng) -> PolyForm:
+    """Random form of bidegree (p, q): an integer coefficient in [-4, 4], as
+    a Fraction, drawn per basis element in lexicographic key order."""
+    return PolyForm(dim, p, q, {
+        (anti, sym): Fraction(rng.randint(-4, 4))
+        for anti in combinations(range(dim), p)
+        for sym in combinations_with_replacement(range(dim), q)
+    })

@@ -4,7 +4,7 @@ Two scalar regimes coexist: exact rationals (``fractions.Fraction``, also
 plain ``int``) and double-precision floats.  Arithmetic is generic -- every
 operation in this package just uses ``+ - *`` and preserves whatever number
 type flows in -- so "mode" only matters at the boundaries: random data
-generation, JSON serialization, and zero tests.
+generation, JSON serialization, zero tests and division.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from fractions import Fraction
 
 # Comparison tolerance for float-mode data normalized to unit scale.
 TOL = 1e-9
-
-FLOAT_MODE = "float"
-RATIONAL_MODE = "rational"
 
 
 def is_exact(x) -> bool:
@@ -30,8 +27,11 @@ def is_zero(x, tol: float = TOL) -> bool:
     return abs(x) <= tol
 
 
-def near(x, y, tol: float = TOL) -> bool:
-    return is_zero(x - y, tol)
+def div(x, y):
+    """x / y, a Fraction when both are exact (int / int stays exact)."""
+    if is_exact(x) and is_exact(y):
+        return Fraction(x) / Fraction(y)
+    return x / y
 
 
 def scalar_to_json(x):
@@ -42,9 +42,13 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(v):
+    """A JSON number, or a "num/den" string as a Fraction; anything else
+    (booleans, lists, objects, null) is not a scalar."""
     if isinstance(v, str):
         try:
             return Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar {v!r}") from None
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"not a scalar: {v!r}")
     return v

@@ -47,7 +47,7 @@ from mft.invariants import (
     invariant_trifocal,
     invariant_wedge_pair,
 )
-from mft.polyforms import cartan_apply
+from mft.polyforms import cartan_apply, random_form
 
 from oracles import (
     common_point_exists,
@@ -57,7 +57,6 @@ from oracles import (
     wedge_of_vectors,
 )
 from test_coaction import ANCHORS, prime_matrix, sympy_minor
-from test_polyforms import random_form
 
 TAU = 1e-9
 

@@ -136,3 +136,52 @@ def test_env_mode(monkeypatch, capsys):
     code, obj = run(capsys, "gen-scene", "--seed", "4")
     assert code == 0
     assert obj["mode"] == "rational"
+
+
+def _rational_trifocal_json(capsys, tmp_path):
+    _, scene = run(capsys, "--mode", "rational", "gen-scene", "--views", "3", "--seed", "5")
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(scene))
+    _, tens = run(capsys, "tensor", str(scene_path))
+    return tens
+
+
+def _short_row(data):
+    data[2][1] = data[2][1][:2]
+
+
+def _nested_cell(data):
+    data[0][0][0] = [1, 2]
+
+
+def _bool_cell(data):
+    data[0][0][0] = True
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_short_row, "error: tensor data does not match axes [3, 3, 3]\n"),
+    (_nested_cell, "error: not a scalar: [1, 2]\n"),
+    (_bool_cell, "error: not a scalar: True\n"),
+])
+def test_check_rejects_malformed_tensor_data(tmp_path, capsys, damage, message):
+    tens = _rational_trifocal_json(capsys, tmp_path)
+    damage(tens["tensor"]["data"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(tens))
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_tensor_rejects_a_one_frame_scene(tmp_path, capsys):
+    _, scene = run(capsys, "gen-scene", "--views", "2", "--seed", "5")
+    scene["frames"] = scene["frames"][:1]
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code = main(["tensor", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: mft tensor needs a scene of 2 to 4 frames, got 1\n"

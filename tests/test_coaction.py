@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from mft import linalg
-from mft.coaction import GroupElement, SingularMatrixError, compound_matrix, psi
+from mft.coaction import GroupElement, SingularMatrixError, compound_matrix, psi, random_frame
 from mft.exterior import index_subsets
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
@@ -60,8 +60,8 @@ def test_psi_low_degree_values():
 def test_compound_matrix_multiplicative():
     rng = random.Random(0)
     for _ in range(10):
-        a = random_invertible(4, rng)
-        b = random_invertible(4, rng)
+        a = random_frame(4, rng)
+        b = random_frame(4, rng)
         for p in (0, 1, 2):
             lhs = compound_matrix(a @ b, p)
             rhs = linalg.mat_mul(compound_matrix(a, p), compound_matrix(b, p))
@@ -73,9 +73,9 @@ def test_psi_factors_through_stabilizer():
     # psi(g h) = lam * psi(g) . compound(block) on the image side.
     rng = random.Random(1)
     for _ in range(10):
-        g = random_invertible(4, rng)
+        g = random_frame(4, rng)
         lam = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        block = random_invertible(3, rng)
+        block = random_frame(3, rng)
         h_rows = [[lam] + [Fraction(rng.randint(-3, 3)) for _ in range(3)]]
         for i in range(3):
             h_rows.append([0] + list(block.entries[i]))
@@ -97,16 +97,6 @@ def test_psi_factors_through_stabilizer():
                     for j in range(len(left.cols))
                 ]
                 assert got == expect
-
-
-def random_invertible(n, rng):
-    while True:
-        try:
-            return GroupElement(
-                [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-            )
-        except SingularMatrixError:
-            continue
 
 
 def test_singular_rejected():

@@ -158,6 +158,17 @@ def test_rational_quadrifocal_recovery_exact():
     assert alignment_error(est, t_true) == 0
 
 
+@pytest.mark.parametrize("seed", [4, 21])
+def test_rational_recovery_stays_exact_when_the_free_entry_is_largest(seed):
+    # every pivot entry of these kernel vectors is below 1 in absolute value,
+    # so the unit scale is the int 1 on the free column
+    rng = random.Random(seed)
+    sc = random_scene(2, SceneKind.EUCLIDEAN, rng=rng, mode=MotionMode.CAYLEY_RATIONAL)
+    est, _ = estimate_tensor((1, 1), correspondences_bifocal(sc, 8, rng=rng))
+    assert all(isinstance(v, Fraction) for v in est.flat())
+    assert est.max_abs() == 1
+
+
 def test_rational_underdetermined_nullity_is_exact():
     # 5 generic matches on 9 unknowns leave exactly 4 free columns
     rng = random.Random(8)

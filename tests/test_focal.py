@@ -1,9 +1,19 @@
+import contextlib
+import functools
+import io
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mft.coaction import GroupElement
+from mft.cli import main
+
+from mft.coaction import GroupElement, random_frame
 from mft.exterior import Multivector
 from mft.focal import (
     FocalTensor,
@@ -15,6 +25,7 @@ from mft.focal import (
     multifocal,
 )
 from mft.invariants import (
+    check_weight,
     invariant_bifocal,
     invariant_quadrifocal,
     invariant_trifocal,
@@ -22,16 +33,6 @@ from mft.invariants import (
 )
 
 from oracles import random_rational_vector
-
-
-def random_invertible(n, rng):
-    while True:
-        try:
-            return GroupElement(
-                [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-            )
-        except ValueError:
-            continue
 
 
 def test_dim2_translation_anchor():
@@ -66,8 +67,8 @@ def test_dim3_anchor():
     # wedge of a point factor and a line factor in dim 3
     inv = invariant_wedge_pair(3, 0, 1)
     rng = random.Random(0)
-    g = random_invertible(3, rng)
-    gp = random_invertible(3, rng)
+    g = random_frame(3, rng)
+    gp = random_frame(3, rng)
     t = multifocal(inv, [g, gp])
     from mft.exterior import minor
 
@@ -89,7 +90,7 @@ def test_multifocal_arity_checks():
 
 def test_apply_section_chain():
     rng = random.Random(1)
-    b1, b2 = random_invertible(4, rng), random_invertible(4, rng)
+    b1, b2 = random_frame(4, rng), random_frame(4, rng)
     frames = apply_section([b1, b2], Section.CHAIN)
     assert frames[0] == b2 @ b1
     assert frames[1] == b2
@@ -98,7 +99,7 @@ def test_apply_section_chain():
 
 def test_apply_section_trifocal_inverse():
     rng = random.Random(2)
-    g1, g2 = random_invertible(4, rng), random_invertible(4, rng)
+    g1, g2 = random_frame(4, rng), random_frame(4, rng)
     frames = apply_section([g1, g2], Section.TRIFOCAL_INVERSE)
     assert frames == [g1.inverse(), GroupElement.identity(4), g2.inverse()]
     with pytest.raises(ValueError):
@@ -111,7 +112,7 @@ def test_pullback_identity_bifocal():
     rng = random.Random(3)
     inv = invariant_bifocal()
     for _ in range(10):
-        frames = [random_invertible(4, rng) for _ in range(2)]
+        frames = [random_frame(4, rng) for _ in range(2)]
         t = multifocal(inv, frames)
         cs = [
             Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
@@ -125,7 +126,7 @@ def test_pullback_identity_trifocal():
     rng = random.Random(4)
     inv = invariant_trifocal()
     for _ in range(5):
-        frames = [random_invertible(4, rng) for _ in range(3)]
+        frames = [random_frame(4, rng) for _ in range(3)]
         t = multifocal(inv, frames)
         point = Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
         lines = [
@@ -141,7 +142,7 @@ def test_pullback_identity_trifocal():
 def test_pullback_identity_quadrifocal():
     rng = random.Random(5)
     inv = invariant_quadrifocal()
-    frames = [random_invertible(4, rng) for _ in range(4)]
+    frames = [random_frame(4, rng) for _ in range(4)]
     t = multifocal(inv, frames)
     cs = [
         Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
@@ -172,3 +173,82 @@ def test_scale_and_max_abs():
     t = FocalTensor.from_flat(4, (1,), [1, -4, 2])
     assert t.max_abs() == 4
     assert t.scale(2).flat() == [2, -8, 4]
+
+
+@functools.cache
+def _weight(factory):
+    return check_weight(factory(), trials=3)
+
+
+@given(st.sampled_from([invariant_bifocal, invariant_trifocal, invariant_quadrifocal]),
+       st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_common_frame_equivariance(factory, seed):
+    # a common change of frame h scales the tensor by det(h)^(-k), k the
+    # weight of the invariant
+    inv, k = factory(), _weight(factory)
+    rng = random.Random(seed)
+    h = random_frame(4, rng)
+    frames = [random_frame(4, rng) for _ in range(inv.arity())]
+    moved = multifocal(inv, [h @ g for g in frames])
+    assert moved == multifocal(inv, frames).scale(h.det() ** -k)
+
+
+scalars = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tensors(draw):
+    dim = draw(st.integers(1, 5))
+    signature = draw(st.lists(st.integers(0, dim), max_size=3))
+    size = len(FocalTensor.zeros(dim, signature).flat())
+    values = draw(st.lists(scalars, min_size=size, max_size=size))
+    return dim, signature, values
+
+
+@given(tensors())
+@settings(max_examples=200, deadline=None)
+def test_flat_and_json_round_trips(spec):
+    dim, signature, values = spec
+    t = FocalTensor.from_flat(dim, signature, values)
+    assert t.flat() == values
+    doc = json.loads(json.dumps(t.to_json()))
+    back = FocalTensor.from_json(doc)
+    assert back == t
+    assert [type(v) for v in back.flat()] == [type(v) for v in values]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_truncated_or_over_nested_tensor_json_exits_2(data):
+    doc = FocalTensor.from_flat(4, (2, 1, 2), list(range(27))).to_json()
+    parent, key = doc, "data"
+    for _ in range(data.draw(st.integers(0, 3), label="depth")):  # 3 reaches a cell
+        parent, key = parent[key], data.draw(st.integers(0, 2))
+    node = parent[key]
+    damage = ["over-nest"]
+    if isinstance(node, list):
+        damage += ["truncate", "extend", "under-nest"]
+    kind = data.draw(st.sampled_from(damage), label="damage")
+    if kind == "over-nest":
+        parent[key] = [node]
+    elif kind == "truncate":
+        parent[key] = node[: data.draw(st.integers(0, 2))]
+    elif kind == "extend":
+        parent[key] = node + node[:1]
+    else:
+        parent[key] = node[0]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tensor.json")
+        with open(path, "w") as fh:
+            json.dump({"tensor": doc}, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", path])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,7 +1,9 @@
 """linalg.nullspace (multi-modular, certified) against the basis read off
-linalg.rref, which stays the plain rational Gauss-Jordan reference."""
+linalg.rref, which stays the plain rational Gauss-Jordan reference; and
+linalg.det against the Leibniz formula."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -172,3 +174,39 @@ def test_is_prime_matches_trial_division():
         assert not linalg._is_prime(n)
     assert FIRST_PRIME == 2**31 - 1
     assert linalg._is_prime(2**61 - 1)
+
+
+def leibniz_det(m):
+    """Reference determinant: the sum over permutations, each signed by its
+    inversion count."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term = term * m[row][col]
+        total = total + term
+    return total
+
+
+SCALARS = {
+    "int": st.integers(-20, 20),
+    "fraction": small,
+    "float": st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+}
+
+
+@given(st.sampled_from(sorted(SCALARS)), st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_det_matches_leibniz(kind, n, data):
+    row = st.lists(SCALARS[kind], min_size=n, max_size=n)
+    m = data.draw(st.lists(row, min_size=n, max_size=n))
+    got, expected = linalg.det(m), leibniz_det(m)
+    if kind == "float":
+        # relative to Hadamard's bound, the largest |det| these rows allow
+        scale = math.prod(math.sqrt(sum(x * x for x in r)) for r in m)
+        assert abs(got - expected) <= 1e-9 * max(scale, 1.0)
+    else:
+        assert got == expected
+        if kind == "int" and n <= 3:
+            assert type(got) is int

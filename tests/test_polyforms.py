@@ -1,20 +1,8 @@
 import random
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from mft.polyforms import PolyForm, cartan_apply, derham_d, koszul_delta
-
-
-def random_form(dim, p, q, rng):
-    f = PolyForm.zero(dim, p, q)
-    for anti in combinations(range(dim), p):
-        for sym in combinations_with_replacement(range(dim), q):
-            c = Fraction(rng.randint(-4, 4))
-            if c:
-                f = f + PolyForm.term(dim, anti, sym, c)
-    return f
+from mft.polyforms import PolyForm, cartan_apply, derham_d, koszul_delta, random_form
 
 
 def test_caps_enforced():
