@@ -13,7 +13,6 @@ import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .constraints import TrifocalSlices, check_all, euclidean_identity_suite, rank_one_certificates
 from .coaction import GroupElement
@@ -81,19 +80,20 @@ def _finite(text):
 
 
 def _load_json(path):
-    """Parse a JSON input file; NaN, Infinity and overflowing numbers are
-    input errors, not scalars."""
+    """Parse a JSON object from a file; NaN, Infinity and overflowing
+    numbers are input errors, not scalars."""
     with open(path) as fh:
-        return json.load(fh, parse_float=_finite, parse_constant=_finite)
-
-
-def _frames_from_scene(obj):
-    return [GroupElement.from_json(f) for f in obj["frames"]]
+        obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return obj
 
 
 def cmd_tensor(args):
-    scene = _load_json(args.scene)
-    frames = _frames_from_scene(scene)
+    frames = _load_json(args.scene)["frames"]
+    if not isinstance(frames, list):
+        raise ValueError(f"scene frames must be a list of frames, got {frames!r}")
+    frames = [GroupElement.from_json(f) for f in frames]
     if args.invariant is None and len(frames) not in _INVARIANT_OF_VIEWS:
         raise ValueError(f"mft tensor needs a scene of 2 to 4 frames, got {len(frames)}")
     inv = catalog_lookup(args.invariant or _INVARIANT_OF_VIEWS[len(frames)])
@@ -103,8 +103,15 @@ def cmd_tensor(args):
 
 
 def cmd_check(args):
-    obj = _load_json(args.tensor)
-    t = FocalTensor.from_json(obj["tensor"] if "tensor" in obj else obj)
+    doc = _load_json(args.tensor)
+    doc = doc.get("tensor", doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{args.tensor}: the tensor must be a JSON object")
+    # the one shape check_all takes, checked before from_json builds the
+    # index subsets of an arbitrary dim and signature
+    if doc.get("dim") != 4 or doc.get("signature") != [2, 1, 2]:
+        raise ValueError("check_all expects a dim-4 tensor of signature (2,1,2)")
+    t = FocalTensor.from_json(doc)
     report = check_all(t, tol=args.tol)
     _emit({"report": report.to_json()})
     return 0 if report.passed else 1
@@ -131,8 +138,6 @@ def cmd_estimate(args):
         _emit({"error": str(exc), "nullity": exc.nullity})
         return 1
     err = alignment_error(est, t_true)
-    if not isinstance(err, (int, float, Fraction)):
-        err = float(err)
     res = residuals(t_true, cs)
     ok = bool(err == 0) if mode == "rational" else bool(abs(err) <= 1e-6)
     _emit(

@@ -1,4 +1,4 @@
-"""Group elements and the psi matrices of minors.
+"""Group elements, psi matrices of minors, and the one tensor-product action.
 
 The coaction of GL(m) on Lambda^(p+1) is the compound matrix of minors;
 composing with the interior product by the basepoint v0 keeps exactly the
@@ -6,6 +6,11 @@ minors whose column set contains column 0.  That composition is the psi
 map, realized here as an explicit matrix: rows are indexed by (p+1)-subsets
 of {0..m-1}, columns by p-subsets of {1..m-1}, and the entry at (R, J) is
 the minor of g at rows R and columns {0} | J.
+
+``act`` applies one matrix per factor to a sparse tensor.  multifocal is
+``act`` on the psi matrices of its frames, transform is ``act`` on the
+compound minors of g^-1, and lift and project_line are one-factor calls on
+a compound matrix through ``compound_action``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .exterior import index_subsets, minor
+from .exterior import Multivector, index_subsets, minor
 from .scalars import scalar_from_json, scalar_to_json
 
 
@@ -33,7 +38,7 @@ class GroupElement:
             raise ValueError("GroupElement entries must be square")
         self.dim = n
         self.entries = rows
-        self._det = linalg.det([list(r) for r in rows])
+        self._det = linalg.det(rows)
         if self._det == 0:
             raise SingularMatrixError("GroupElement must be invertible")
         self._inverse = None
@@ -50,19 +55,17 @@ class GroupElement:
         and recovery projects every feature through the inverse of its view.
         The inverse does not point back at its frame, so no cycle is made."""
         if self._inverse is None:
-            self._inverse = GroupElement(linalg.inverse([list(r) for r in self.entries]))
+            self._inverse = GroupElement(linalg.inverse(self.entries))
         return self._inverse
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in group multiplication")
-        return GroupElement(
-            linalg.mat_mul([list(r) for r in self.entries], [list(r) for r in other.entries])
-        )
+        return GroupElement(linalg.mat_mul(self.entries, other.entries))
 
     def apply(self, v):
         """Matrix-vector action on column vectors."""
-        return linalg.mat_vec([list(r) for r in self.entries], list(v))
+        return linalg.mat_vec(self.entries, list(v))
 
     def basepoint(self):
         """Image of the basepoint v0: the first column."""
@@ -82,6 +85,9 @@ class GroupElement:
 
     @classmethod
     def from_json(cls, obj):
+        """A square list of rows of scalars, else ValueError."""
+        if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+            raise ValueError(f"a frame must be a list of rows of scalars, got {obj!r}")
         return cls([[scalar_from_json(x) for x in row] for row in obj])
 
 
@@ -134,3 +140,32 @@ def psi(g: GroupElement, p: int) -> PsiMatrix:
     cols = index_subsets(m, p, start=1)
     entries = [[minor(g, R, (0,) + J) for J in cols] for R in rows]
     return PsiMatrix(m, p, entries)
+
+
+def compound_action(g: GroupElement, v: Multivector) -> Multivector:
+    """g acting on a multivector through its compound matrix: ``act`` with
+    the minors' columns, summed and returned in lexicographic order."""
+    subsets = index_subsets(g.dim, v.degree)
+    columns = list(zip(*compound_matrix(g, v.degree - 1)))
+    moved = act({(C,): x for C, x in sorted(v.coeffs.items())}, [(subsets, subsets, columns)])
+    return Multivector(g.dim, v.degree, {R: x for (R,), x in sorted(moved.items())})
+
+
+def act(coeffs, matrices):
+    """{(C1..Cn): sum of c * M1[R1][C1] * .. * Mn[Rn][Cn]} over the items
+    ((R1..Rn), c) of ``coeffs``, where ``matrices[i]`` is (row keys, column
+    keys, rows) of Mi.  Zero entries are skipped, products run left to right
+    with each shared prefix multiplied once, and each output adds its terms
+    in ``coeffs`` order; outputs that cancel to zero are kept."""
+    tables = [
+        {R: [(C, x) for C, x in zip(cols, row) if x != 0] for R, row in zip(rows, entries)}
+        for rows, cols, entries in matrices
+    ]
+    out = {}
+    for key, c in coeffs.items():
+        terms = [((), c)]
+        for table, R in zip(tables, key):
+            terms = [(prefix + (C,), v * x) for prefix, v in terms for C, x in table[R]]
+        for k, v in terms:
+            out[k] = out.get(k, 0) + v
+    return out

@@ -15,9 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .coaction import GroupElement, random_frame
+from .coaction import GroupElement, compound_action, random_frame
 from .euclidean import MotionMode, embed, random_motion
-from .exterior import Multivector, index_subsets, minor
+from .exterior import Multivector, index_subsets
 from .focal import FocalTensor, contract
 from .scalars import div, is_exact
 
@@ -100,20 +100,8 @@ def project_line(g: GroupElement, L: Multivector) -> Multivector:
     and drop the terms containing index 0."""
     if L.dim != g.dim or L.degree != 2:
         raise ValueError("project_line expects an ambient degree-2 multivector")
-    ginv = g.inverse()
-    subsets = index_subsets(g.dim, 2)
-    coeffs = {}
-    for R in subsets:
-        if 0 in R:
-            continue
-        total = 0
-        for C in subsets:
-            v = L.coeff(C)
-            if v != 0:
-                total = total + minor(ginv, R, C) * v
-        if total != 0:
-            coeffs[R] = total
-    return Multivector(g.dim, 2, coeffs)
+    moved = compound_action(g.inverse(), L)
+    return Multivector(g.dim, 2, {R: v for R, v in moved.coeffs.items() if 0 not in R})
 
 
 def point_feature(coords) -> Multivector:
@@ -130,25 +118,18 @@ def line_through(p: Multivector, q: Multivector) -> Multivector:
 # Correspondence generators
 
 
-def _random_ambient_point(rng, exact):
+def _random_point(rng, exact, n):
+    """n random coordinates: small Fractions when exact, else Gaussians."""
     if exact:
-        return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
-    return [rng.gauss(0, 1) for _ in range(4)]
-
-
-def _random_image_point(rng, exact):
-    if exact:
-        return point_feature(
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
-        )
-    return point_feature([rng.gauss(0, 1) for _ in range(3)])
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+    return [rng.gauss(0, 1) for _ in range(n)]
 
 
 def _projected_features(scene, rng, exact, bound=100):
     """Project a common random ambient point into every view; resample on
     degenerate projections."""
     for _attempt in range(bound):
-        X = _random_ambient_point(rng, exact)
+        X = _random_point(rng, exact, 4)
         try:
             return [point_feature(project_point(g, X)) for g in scene.frames]
         except DegenerateProjectionError:
@@ -158,7 +139,7 @@ def _projected_features(scene, rng, exact, bound=100):
 
 def _line_through_random(p, rng, exact, bound=100):
     for _attempt in range(bound):
-        line = line_through(p, _random_image_point(rng, exact))
+        line = line_through(p, point_feature(_random_point(rng, exact, 3)))
         if not line.is_zero():
             return line
     raise RuntimeError("could not sample a line through the image point")

@@ -1,9 +1,9 @@
 """The main construction: contracting psi matrices against an invariant.
 
-multifocal(I, frames) evaluates the tensor product of psi maps on I, giving
-an n-way array with axis i indexed by p_i-subsets of {1..m-1}.  For dim 4
-and the cataloged invariants these are the bifocal (essential/fundamental),
-trifocal, and quadrifocal tensors.
+multifocal(I, frames) is the one tensor-product action ``coaction.act`` on
+the psi matrices of the frames, giving an n-way array with axis i indexed by
+p_i-subsets of {1..m-1}.  For dim 4 and the cataloged invariants these are
+the bifocal (essential/fundamental), trifocal, and quadrifocal tensors.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import enum
 import math
 from itertools import product
 
-from .coaction import GroupElement, compound_matrix, psi
+from .coaction import GroupElement, act, compound_action, psi
 from .exterior import DimensionMismatchError, Multivector, index_subsets
 from .invariants import Invariant
 from .scalars import TOL, is_zero, scalar_from_json, scalar_to_json
@@ -134,23 +134,10 @@ def multifocal(I: Invariant, frames) -> FocalTensor:
         )
     if any(g.dim != I.dim for g in frames):
         raise DimensionMismatchError("frame dimension differs from invariant")
-    degrees = I.degrees
-    psis = [psi(g, p) for g, p in zip(frames, degrees)]
-    out = FocalTensor.zeros(I.dim, degrees)
-    values = out.values
-    for key, c in I.coeffs.items():
-        rows = [ps.row(R) for ps, R in zip(psis, key)]
-        # product() runs over the cells in row-major order, so the offset
-        # of a cell is its position in the iteration
-        for offset, factors in enumerate(product(*rows)):
-            val = c
-            for x in factors:
-                val = val * x
-                if val == 0:
-                    break
-            if val != 0:
-                values[offset] = values[offset] + val
-    return out
+    psis = [psi(g, p) for g, p in zip(frames, I.degrees)]
+    sums = act(I.coeffs, [(ps.rows, ps.cols, ps.entries) for ps in psis])
+    cells = product(*(ps.cols for ps in psis))  # row-major, as FocalTensor stores them
+    return FocalTensor(I.dim, I.degrees, [sums.get(key, 0) for key in cells])
 
 
 def apply_section(frames_relative, convention: Section):
@@ -193,16 +180,7 @@ def contract(t: FocalTensor, cs):
             )
         if any(0 in key for key in c.coeffs):
             raise ValueError("contraction features must avoid index 0")
-    total = 0
-    for combo, val in t.cells():
-        if val == 0:
-            continue
-        for c, J in zip(cs, combo):
-            val = val * c.coeff(J)
-            if val == 0:
-                break
-        total = total + val
-    return total
+    return _evaluate(t.cells(), cs)
 
 
 def lift(g: GroupElement, c: Multivector) -> Multivector:
@@ -212,18 +190,7 @@ def lift(g: GroupElement, c: Multivector) -> Multivector:
     if c.dim != m:
         raise DimensionMismatchError("dimension mismatch in lift")
     base = Multivector(m, c.degree + 1, {(0,) + key: val for key, val in c.coeffs.items()})
-    action = compound_matrix(g, c.degree)  # acts on degree c.degree + 1
-    subsets = index_subsets(m, c.degree + 1)
-    coeffs = {}
-    for ri, R in enumerate(subsets):
-        total = 0
-        for ci, C in enumerate(subsets):
-            v = base.coeff(C)
-            if v != 0:
-                total = total + action[ri][ci] * v
-        if total != 0:
-            coeffs[R] = total
-    return Multivector(m, c.degree + 1, coeffs)
+    return compound_action(g, base)
 
 
 def incidence(I: Invariant, ds):
@@ -235,11 +202,18 @@ def incidence(I: Invariant, ds):
     for d, s in zip(ds, I.signature):
         if d.degree != s:
             raise DimensionMismatchError(f"degree {d.degree} != factor degree {s}")
+    return _evaluate(I.coeffs.items(), ds)
+
+
+def _evaluate(cells, vectors):
+    """Sum over (key, value) cells of the value times the coefficient of
+    vectors[i] at key[i] for every i; zero terms stop early."""
     total = 0
-    for key, c in I.coeffs.items():
-        val = c
-        for d, R in zip(ds, key):
-            val = val * d.coeff(R)
+    for key, val in cells:
+        if val == 0:
+            continue
+        for d, J in zip(vectors, key):
+            val = val * d.coeff(J)
             if val == 0:
                 break
         total = total + val

@@ -1,7 +1,8 @@
 """Catalog of the relative GL-invariant tensors driving the construction.
 
 Each invariant is a sparse coefficient array over tuples of index subsets,
-one subset per tensor factor.  The weight is the integer k with
+one subset per tensor factor.  transform, the GL-action, is ``coaction.act``
+on the compound minors of g^-1.  The weight is the integer k with
 g . I = det(g)^k I; it is measured, not assumed, by check_weight.
 """
 
@@ -11,7 +12,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from .coaction import GroupElement, random_frame
+from .coaction import GroupElement, act, random_frame
 from .exterior import index_subsets, merge_sign, minor, perm_sign
 from .scalars import scalar_to_json
 
@@ -134,37 +135,14 @@ def invariant_quadrifocal() -> Invariant:
 
 
 def transform(g: GroupElement, inv: Invariant) -> Invariant:
-    """Action of g on a dual-side tensor: contract each factor with the
-    compound minors of g^{-1}."""
+    """Action of g on a dual-side tensor: the tensor-product action of the
+    compound minors of g^{-1}, one matrix per factor."""
     if g.dim != inv.dim:
         raise ValueError("dimension mismatch")
     ginv = g.inverse()
-    coeffs = {}
-    subset_lists = [index_subsets(inv.dim, s) for s in inv.signature]
-    # one minor table per distinct factor degree
-    tables = {}
-    for s, subsets in zip(inv.signature, subset_lists):
-        if s not in tables:
-            tables[s] = {
-                (R, C): minor(ginv, R, C) for R in subsets for C in subsets
-            }
-    for key, c in inv.coeffs.items():
-        # distribute each factor over the target subsets
-        partial = {(): c}
-        for factor_idx, R in enumerate(key):
-            table = tables[inv.signature[factor_idx]]
-            new_partial = {}
-            for prefix, val in partial.items():
-                for C in subset_lists[factor_idx]:
-                    mnr = table[(R, C)]
-                    if mnr == 0:
-                        continue
-                    nk = prefix + (C,)
-                    new_partial[nk] = new_partial.get(nk, 0) + val * mnr
-            partial = new_partial
-        for nk, val in partial.items():
-            coeffs[nk] = coeffs.get(nk, 0) + val
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    subsets = {s: index_subsets(inv.dim, s) for s in inv.signature}
+    minors = {s: (S, S, [[minor(ginv, R, C) for C in S] for R in S]) for s, S in subsets.items()}
+    coeffs = act(inv.coeffs, [minors[s] for s in inv.signature])
     return Invariant(inv.dim, inv.signature, coeffs, name=inv.name)
 
 

@@ -185,3 +185,65 @@ def test_tensor_rejects_a_one_frame_scene(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: mft tensor needs a scene of 2 to 4 frames, got 1\n"
+
+
+def _exits_2_with_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("frames, message", [
+    ([5, 5], "error: a frame must be a list of rows of scalars, got 5\n"),
+    (5, "error: scene frames must be a list of frames, got 5\n"),
+    # strings and objects are iterable, but they are not rows of a frame
+    ([["1000", "0100", "0010", "0001"]] * 2,
+     "error: a frame must be a list of rows of scalars, got ['1000', '0100', '0010', '0001']\n"),
+    ([{"1000": 0, "0100": 0, "0010": 0, "0001": 0}] * 2,
+     "error: a frame must be a list of rows of scalars, "
+     "got {'1000': 0, '0100': 0, '0010': 0, '0001': 0}\n"),
+], ids=["number-frames", "number-frame-list", "string-rows", "object-frames"])
+def test_tensor_rejects_frames_that_are_not_lists_of_rows(tmp_path, capsys, frames, message):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"frames": frames}))
+    assert _exits_2_with_one_line(capsys, ["tensor", str(path)]) == message
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("tensor", [1, 2], "input.json does not hold a JSON object"),
+    ("tensor", [[1, 0], [0, 1]], "input.json does not hold a JSON object"),
+    ("check", [1, 2], "input.json does not hold a JSON object"),
+    ("check", 5, "input.json does not hold a JSON object"),
+    ("check", {"tensor": 5}, "input.json: the tensor must be a JSON object"),
+    ("check", {"tensor": [1, 2]}, "input.json: the tensor must be a JSON object"),
+], ids=["tensor-list", "tensor-matrix", "check-list", "check-number", "check-number-tensor",
+        "check-list-tensor"])
+def test_input_that_is_not_a_json_object_exits_2(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert _exits_2_with_one_line(capsys, [command, str(path)]).endswith(message + "\n")
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 150, "signature": [3], "data": []},
+    {"dim": 200, "signature": [200, 3], "data": []},
+    {"dim": 2**20, "signature": [3], "data": []},
+    {"dim": 4, "signature": [1, 1], "data": [[0] * 3] * 3},
+    {"signature": [2, 1, 2], "data": []},
+], ids=["dim-150", "dim-200", "dim-2**20", "bifocal", "no-dim"])
+def test_check_rejects_other_shapes_before_building_subsets(tmp_path, capsys, monkeypatch, doc):
+    # C(2**20 - 1, 3) is about 1.9e17 subsets: the shape is rejected before
+    # any of them is built
+    import mft.focal
+
+    def no_subsets(*args, **kwargs):
+        raise AssertionError("index subsets built before the shape was checked")
+
+    monkeypatch.setattr(mft.focal, "index_subsets", no_subsets)
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({"tensor": doc}))
+    err = _exits_2_with_one_line(capsys, ["check", str(path)])
+    assert err == "error: check_all expects a dim-4 tensor of signature (2,1,2)\n"

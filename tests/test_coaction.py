@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mft import linalg
-from mft.coaction import GroupElement, SingularMatrixError, compound_matrix, psi, random_frame
+from mft.coaction import GroupElement, SingularMatrixError, act, compound_matrix, psi, random_frame
 from mft.exterior import index_subsets
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
@@ -124,3 +126,63 @@ def test_inverse_is_computed_once(one):
 def test_group_element_json_round_trip():
     g = GroupElement([[Fraction(1, 2), 1], [0, 3]])
     assert GroupElement.from_json(g.to_json()) == g
+
+
+LANES = {
+    "int": st.integers(-(10**6), 10**6),
+    "fraction": st.fractions(min_value=-100, max_value=100, max_denominator=50),
+    # no magnitudes that could underflow a product of four factors
+    "float": st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+}
+
+
+@st.composite
+def sparse_actions(draw):
+    """A sparse coefficient dict and one dense matrix per factor, all scalars
+    from one lane, with zeros mixed into both."""
+    scalar = LANES[draw(st.sampled_from(sorted(LANES)))]
+    entry = st.one_of(st.just(0), scalar)
+    matrices = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = list(range(draw(st.integers(1, 4))))
+        cols = [f"c{j}" for j in range(draw(st.integers(1, 3)))]
+        entries = draw(st.lists(st.lists(entry, min_size=len(cols), max_size=len(cols)),
+                                min_size=len(rows), max_size=len(rows)))
+        matrices.append((rows, cols, entries))
+    keys = draw(st.lists(st.tuples(*(st.sampled_from(m[0]) for m in matrices)),
+                         unique=True, max_size=10))
+    coeffs = {key: draw(entry) for key in keys}
+    return coeffs, matrices
+
+
+def dense_act(coeffs, matrices):
+    """Brute force: every output index combination against every input key,
+    zero entries included, products left to right, sums in coeffs order.
+    Also returns the outputs that some term without a zero entry reaches."""
+    out, reached = {}, set()
+    for cols in product(*(cs for _, cs, _ in matrices)):
+        total = 0
+        for key, c in coeffs.items():
+            factors = [entries[rows.index(R)][cs.index(C)]
+                       for (rows, cs, entries), R, C in zip(matrices, key, cols)]
+            term = c
+            for x in factors:
+                term = term * x
+            total = total + term
+            if all(x != 0 for x in factors):
+                reached.add(cols)
+        out[cols] = total
+    return out, reached
+
+
+@given(sparse_actions())
+@settings(max_examples=300, deadline=None)
+def test_act_matches_dense_reference(spec):
+    coeffs, matrices = spec
+    got = act(coeffs, matrices)
+    want, reached = dense_act(coeffs, matrices)
+    assert set(got) == reached  # outputs that cancel to zero are kept
+    for key, value in want.items():
+        assert got.get(key, 0) == value
+    for key, value in got.items():
+        assert type(value) is type(want[key])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mft import linalg
 from mft.constraints import (
@@ -19,6 +21,7 @@ from mft.constraints import (
     trifocal_det_cubics,
 )
 from mft.euclidean import MotionMode, essential, random_motion, trifocal_euclidean
+from mft.focal import FocalTensor
 
 
 def random_rational_matrix(rng, lo=-9, hi=9):
@@ -108,6 +111,21 @@ def test_check_all_scale_covariant():
         assert rep.passed
         assert rep.max_residual() == 0
         assert rep.normalized
+
+
+@given(st.integers(0, 2**32), st.booleans(),
+       st.fractions(max_denominator=10**6).filter(lambda lam: lam != 0))
+@settings(max_examples=25, deadline=None)
+def test_check_all_report_is_scale_covariant(seed, trifocal, lam):
+    # the report is that of the tensor scaled to unit max-abs, so any
+    # nonzero rational scale, negative included, leaves it unchanged
+    rng = random.Random(seed)
+    if trifocal:
+        t = trifocal_euclidean(*rational_pair(rng))
+    else:
+        t = FocalTensor.from_flat(4, (2, 1, 2), [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                                 for _ in range(27)])
+    assert check_all(t.scale(lam)).to_json() == check_all(t).to_json()
 
 
 def test_check_all_rejects_random_tensor():

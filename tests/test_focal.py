@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mft import linalg
 from mft.cli import main
-
 from mft.coaction import GroupElement, random_frame
 from mft.exterior import Multivector
 from mft.focal import (
@@ -31,8 +31,6 @@ from mft.invariants import (
     invariant_trifocal,
     invariant_wedge_pair,
 )
-
-from oracles import random_rational_vector
 
 
 def test_dim2_translation_anchor():
@@ -106,51 +104,45 @@ def test_apply_section_trifocal_inverse():
         apply_section([g1], Section.TRIFOCAL_INVERSE)
 
 
-def test_pullback_identity_bifocal():
+# Frames with small integer and rational entries, and image features on
+# indices 1..3 (points of degree 1, lines as wedges of two points).
+entries = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4))
+invertible_frames = (
+    st.lists(st.lists(entries, min_size=4, max_size=4), min_size=4, max_size=4)
+    .filter(lambda rows: linalg.det(rows) != 0)
+    .map(GroupElement)
+)
+image_points = st.lists(st.fractions(-9, 9, max_denominator=5), min_size=3, max_size=3).map(
+    lambda v: Multivector.from_vector(v, offset=1, dim=4)
+)
+image_lines = st.tuples(image_points, image_points).map(lambda pq: pq[0] ^ pq[1])
+
+
+def assert_pullback(inv, frames, cs):
     # contraction of the constructed tensor against image features equals
     # the invariant evaluated on their lifts, with scale exactly 1
-    rng = random.Random(3)
-    inv = invariant_bifocal()
-    for _ in range(10):
-        frames = [random_frame(4, rng) for _ in range(2)]
-        t = multifocal(inv, frames)
-        cs = [
-            Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
-            for _ in range(2)
-        ]
-        ds = [lift(g, c) for g, c in zip(frames, cs)]
-        assert contract(t, cs) == incidence(inv, ds)
-
-
-def test_pullback_identity_trifocal():
-    rng = random.Random(4)
-    inv = invariant_trifocal()
-    for _ in range(5):
-        frames = [random_frame(4, rng) for _ in range(3)]
-        t = multifocal(inv, frames)
-        point = Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
-        lines = [
-            Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
-            ^ Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
-            for _ in range(2)
-        ]
-        cs = [lines[0], point, lines[1]]
-        ds = [lift(g, c) for g, c in zip(frames, cs)]
-        assert contract(t, cs) == incidence(inv, ds)
-
-
-def test_pullback_identity_quadrifocal():
-    rng = random.Random(5)
-    inv = invariant_quadrifocal()
-    frames = [random_frame(4, rng) for _ in range(4)]
-    t = multifocal(inv, frames)
-    cs = [
-        Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
-        ^ Multivector.from_vector(random_rational_vector(rng, 3), offset=1, dim=4)
-        for _ in range(4)
-    ]
     ds = [lift(g, c) for g, c in zip(frames, cs)]
-    assert contract(t, cs) == incidence(inv, ds)
+    assert contract(multifocal(inv, frames), cs) == incidence(inv, ds)
+
+
+@given(st.lists(invertible_frames, min_size=2, max_size=2),
+       st.lists(image_points, min_size=2, max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_pullback_identity_bifocal(fs, cs):
+    assert_pullback(invariant_bifocal(), fs, cs)
+
+
+@given(st.lists(invertible_frames, min_size=3, max_size=3), image_lines, image_points, image_lines)
+@settings(max_examples=30, deadline=None)
+def test_pullback_identity_trifocal(fs, line1, point, line3):
+    assert_pullback(invariant_trifocal(), fs, [line1, point, line3])
+
+
+@given(st.lists(invertible_frames, min_size=4, max_size=4),
+       st.lists(image_lines, min_size=4, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_pullback_identity_quadrifocal(fs, cs):
+    assert_pullback(invariant_quadrifocal(), fs, cs)
 
 
 def test_contract_rejects_base_index():
