@@ -29,7 +29,7 @@ from .estimation import (
 )
 from .euclidean import MotionMode, embed, random_motion, trifocal_euclidean
 from .focal import FocalTensor, multifocal
-from .invariants import catalog_lookup, check_weight
+from .invariants import WEDGE_MAX_DIM, catalog_lookup, check_weight
 from .polyforms import cartan_apply, random_form
 from .scalars import TOL, scalar_to_json
 
@@ -38,6 +38,7 @@ SCHEMA = "mft/1"
 _SIGNATURES = {2: (1, 1), 3: (2, 1, 2), 4: (2, 2, 2, 2)}
 _INVARIANT_OF_VIEWS = {2: "bifocal", 3: "trifocal", 4: "quadrifocal"}
 _COUNTS = {2: 8, 3: 26, 4: 80}
+MAX_WEIGHT_TRIALS = 10  # with WEDGE_MAX_DIM, bounds the slowest `mft invariant --weight`
 
 
 def _emit(obj):
@@ -119,6 +120,9 @@ def cmd_check(args):
 
 def cmd_estimate(args):
     mode = _mode(args)
+    count = _COUNTS[args.views] if args.count is None else args.count
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
     rng = random.Random(args.seed)
     scene = random_scene(
         args.views, SceneKind.EUCLIDEAN, rng=rng, mode=_motion_mode(mode)
@@ -128,7 +132,6 @@ def cmd_estimate(args):
         3: correspondences_trifocal,
         4: correspondences_quadrifocal,
     }[args.views]
-    count = args.count or _COUNTS[args.views]
     cs = gen(scene, count, rng=rng)
     inv = catalog_lookup(_INVARIANT_OF_VIEWS[args.views])
     t_true = multifocal(inv, scene.frames)
@@ -157,6 +160,8 @@ def cmd_estimate(args):
 
 def cmd_verify_identities(args):
     mode = _mode(args)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
     worst = 0.0
     reports = []
@@ -194,6 +199,8 @@ def cmd_verify_cartan(args):
 
 
 def cmd_invariant(args):
+    if not 1 <= args.trials <= MAX_WEIGHT_TRIALS:
+        raise ValueError(f"--trials must be between 1 and {MAX_WEIGHT_TRIALS}, got {args.trials}")
     inv = catalog_lookup(args.name)
     out = {"invariant": inv.to_json()}
     if args.weight:
@@ -242,9 +249,10 @@ def build_parser():
     p.set_defaults(func=cmd_verify_cartan)
 
     p = sub.add_parser("invariant", help="dump a cataloged invariant")
-    p.add_argument("name")
+    p.add_argument("name", help=f"bifocal|trifocal|quadrifocal|wedge:m,p1,p2, m <= {WEDGE_MAX_DIM}")
     p.add_argument("--weight", action="store_true", help="also measure the det power")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=10,
+                   help=f"random frames for --weight, 1 to {MAX_WEIGHT_TRIALS}")
     p.set_defaults(func=cmd_invariant)
 
     return parser

@@ -8,30 +8,19 @@ aggregates the intrinsic trifocal families on scale-normalized input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 
 from . import linalg
 from .euclidean import EuclideanMotion, tensor_to_identified
-from .exterior import minor, perm_sign
+from .exterior import perm_sign
 from .focal import FocalTensor
+from .linalg import adjugate
 from .scalars import TOL, div, is_zero
 
 
 # ---------------------------------------------------------------------------
 # 3x3 matrix utilities
-
-
-_REST = [(1, 2), (0, 2), (0, 1)]  # row or column indices without index i
-
-
-def adjugate(mtx):
-    """Classical adjoint of a 3x3 matrix: the transpose of its cofactors."""
-    return [
-        [(-1) ** (i + j) * minor(mtx, _REST[j], _REST[i]) for j in range(3)]
-        for i in range(3)
-    ]
 
 
 def _tr(m):
@@ -114,12 +103,6 @@ class TrifocalSlices:
     def a(self):
         return tuple(adjugate(ti) for ti in self.t)
 
-    def t_of(self, x):
-        return [
-            [sum(x[n] * self.t[n][i][j] for n in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-
     def max_abs(self):
         return max(abs(v) for ti in self.t for row in ti for v in row)
 
@@ -135,34 +118,17 @@ DET_CUBIC_MONOMIALS = [
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 ]
 
-_DET_CUBIC_POINTS = [
-    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
-    (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1), (1, 1, 1),
-]
-
-_det_cubic_inverse_cache = None
-
-
-def _det_cubic_inverse():
-    global _det_cubic_inverse_cache
-    if _det_cubic_inverse_cache is None:
-        rows = [
-            [
-                Fraction(x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2])
-                for e in DET_CUBIC_MONOMIALS
-            ]
-            for x in _DET_CUBIC_POINTS
-        ]
-        _det_cubic_inverse_cache = linalg.inverse(rows)
-    return _det_cubic_inverse_cache
-
 
 def trifocal_det_cubics(ts: TrifocalSlices):
     """The 10 coefficients of det(x1 t1 + x2 t2 + x3 t3) in the fixed
-    monomial order; all vanish on the trifocal variety."""
-    evals = [linalg.det(ts.t_of(x)) for x in _DET_CUBIC_POINTS]
-    inv = _det_cubic_inverse()
-    return [sum(inv[i][j] * evals[j] for j in range(10)) for i in range(10)]
+    monomial order; all vanish on the trifocal variety.  By multilinearity
+    in the rows, det([t_a[0], t_b[1], t_c[2]]) goes to the monomial
+    x_a x_b x_c."""
+    coeffs = dict.fromkeys(DET_CUBIC_MONOMIALS, 0)
+    for abc in product(range(3), repeat=3):
+        e = tuple(abc.count(n) for n in range(3))
+        coeffs[e] = coeffs[e] + linalg.det([ts.t[n][i] for i, n in enumerate(abc)])
+    return list(coeffs.values())
 
 
 _SIGNED_PERMUTATIONS = [(perm_sign(s), s) for s in permutations(range(3))]
@@ -239,12 +205,6 @@ class ConstraintReport:
     @property
     def passed(self):
         return all(f.passed for f in self.families)
-
-    def family(self, name):
-        for f in self.families:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
     def max_residual(self):
         return max((f.max for f in self.families), default=0)
@@ -430,6 +390,16 @@ def rank_one_certificates(
 # Aggregate
 
 
+def _slice_rank(t, a, tol):
+    """Rank of a 3x3 slice t from its adjugate a (its 2x2 minors): 3 if det t
+    is not is_zero(., tol), else 2 if some minor is not, else 1 if some entry is not."""
+    det = sum(t[0][j] * a[j][0] for j in range(3))
+    for rk, vals in ((3, [det]), (2, [v for r in a for v in r]), (1, [v for r in t for v in r])):
+        if not all(is_zero(v, tol) for v in vals):
+            return rk
+    return 0
+
+
 def check_all(tensor: FocalTensor, tol: float = TOL) -> ConstraintReport:
     """All intrinsic constraint families on a (2,1,2) tensor, after scaling
     to unit max-abs entry.  Pass iff every family is within tol."""
@@ -444,7 +414,7 @@ def check_all(tensor: FocalTensor, tol: float = TOL) -> ConstraintReport:
         return report
     ts = ts.scaled(div(1, mx))
 
-    slice_ranks = [linalg.rank(ti) for ti in ts.t]
+    slice_ranks = [_slice_rank(ti, ai, tol) for ti, ai in zip(ts.t, ts.a)]
     if any(rk < 2 for rk in slice_ranks):
         report.flags["rank_deficient"] = True
     report.flags["slice_ranks"] = slice_ranks

@@ -47,9 +47,6 @@ class Scene:
         self.motions = motions
         self.kind = kind
 
-    def __len__(self):
-        return len(self.frames)
-
 
 class Correspondence:
     """One feature per view; degrees must match the target signature."""
@@ -109,11 +106,6 @@ def point_feature(coords) -> Multivector:
     return Multivector(4, 1, {(i + 1,): c for i, c in enumerate(coords)})
 
 
-def line_through(p: Multivector, q: Multivector) -> Multivector:
-    """Image line spanned by two image points."""
-    return p ^ q
-
-
 # ---------------------------------------------------------------------------
 # Correspondence generators
 
@@ -139,7 +131,7 @@ def _projected_features(scene, rng, exact, bound=100):
 
 def _line_through_random(p, rng, exact, bound=100):
     for _attempt in range(bound):
-        line = line_through(p, point_feature(_random_point(rng, exact, 3)))
+        line = p ^ point_feature(_random_point(rng, exact, 3))
         if not line.is_zero():
             return line
     raise RuntimeError("could not sample a line through the image point")

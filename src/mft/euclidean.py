@@ -189,18 +189,14 @@ def random_motion(seed=None, mode: MotionMode = MotionMode.FLOAT_HAAR, rng=None)
         u = [rng.gauss(0, 1) for _ in range(3)]
         return EuclideanMotion(r, u, check=False)
     if mode is MotionMode.CAYLEY_RATIONAL:
-        while True:
-            s1, s2, s3 = (
-                Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3)
-            )
-            S = [[0, s3, -s2], [-s3, 0, s1], [s2, -s1, 0]]
-            IpS = [[Fraction(1 if i == j else 0) + S[i][j] for j in range(3)] for i in range(3)]
-            if linalg.det(IpS) == 0:
-                continue
-            ImS = [[Fraction(1 if i == j else 0) - S[i][j] for j in range(3)] for i in range(3)]
-            r = linalg.mat_mul(ImS, linalg.inverse(IpS))
-            u = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)]
-            return EuclideanMotion(r, u)
+        # det(I + S) = 1 + s1^2 + s2^2 + s3^2 >= 1, so I + S is invertible
+        s1, s2, s3 = (Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3))
+        S = [[0, s3, -s2], [-s3, 0, s1], [s2, -s1, 0]]
+        IpS = [[Fraction(1 if i == j else 0) + S[i][j] for j in range(3)] for i in range(3)]
+        ImS = [[Fraction(1 if i == j else 0) - S[i][j] for j in range(3)] for i in range(3)]
+        r = linalg.mat_mul(ImS, linalg.inverse(IpS))
+        u = [Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(3)]
+        return EuclideanMotion(r, u)
     raise ValueError(f"unknown motion mode {mode!r}")
 
 

@@ -88,10 +88,6 @@ class Multivector:
         return cls(dim, len(tuple(idxs)), {tuple(idxs): 1})
 
     @classmethod
-    def zero(cls, dim: int, degree: int):
-        return cls(dim, degree)
-
-    @classmethod
     def from_vector(cls, v, offset: int = 0, dim: int | None = None):
         """Degree-1 multivector with coefficient v[i] on index i + offset."""
         dim = dim if dim is not None else len(v) + offset
@@ -145,9 +141,6 @@ class Multivector:
             raise DimensionMismatchError(f"dims {self.dim} != {other.dim}")
         if self.degree != other.degree:
             raise DimensionMismatchError(f"degrees {self.degree} != {other.degree}")
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        return wedge(self, other)
 
     def __xor__(self, other):
         return wedge(self, other)

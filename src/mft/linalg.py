@@ -2,15 +2,16 @@
 
 Everything here works on plain nested lists and is agnostic to the scalar
 type: with Fraction entries all results are exact, with floats they are the
-usual numerics.  ``det`` is the package's one determinant: every minor,
-adjugate entry and frame determinant is computed by it.  These matrices are
-tiny (at most about 10x10), so Gaussian elimination with max-abs pivoting is
-all they need.  The exception is
-``nullspace``, which serves the recovery systems (up to 80x81) and is
-exact-only: it works modulo primes and certifies the lifted result over the
-integers.  Its elimination modulo a prime p < 2**31 runs on int64 numpy
-arrays: residues stay in [0, p), so every product of two is below 2**62
-and the arithmetic is exact integer arithmetic, never float or Fraction.
+usual numerics.  Small matrices are handled by cofactors: ``det`` is the
+package's one determinant (division-free up to 3x3, pivoted elimination
+above), every minor and every ``adjugate`` entry is one ``det``, and
+``inverse`` is the adjugate over the determinant.  ``rref`` and ``rank``
+are exact-only Gauss-Jordan references that the tests compare against.
+``nullspace`` serves the recovery systems (up to 80x81) and is exact-only:
+it works modulo primes and certifies the lifted result over the integers.
+Its elimination modulo a prime p < 2**31 runs on int64 numpy arrays:
+residues stay in [0, p), so every product of two is below 2**62 and the
+arithmetic is exact integer arithmetic, never float or Fraction.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import div
+from .scalars import div, is_exact
 
 
 def identity(n, one=1):
@@ -80,7 +81,10 @@ def det(a):
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form of an exact (int/Fraction) matrix; returns
+    (rows, pivot column list).  Pivots on the first nonzero entry."""
+    if not all(is_exact(x) for row in a for x in row):
+        raise TypeError("rref needs int or Fraction entries")
     m = [list(row) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -89,8 +93,8 @@ def rref(a):
     for col in range(ncols):
         if row >= nrows:
             break
-        pivot = max(range(row, nrows), key=lambda r: abs(m[r][col]))
-        if _is_negligible(m[pivot][col], m):
+        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
         p = m[row][col]
@@ -102,13 +106,6 @@ def rref(a):
         pivots.append(col)
         row += 1
     return m, pivots
-
-
-def _is_negligible(x, context_matrix):
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    scale = max((abs(v) for row in context_matrix for v in row), default=1.0)
-    return abs(x) <= 1e-12 * max(scale, 1.0)
 
 
 def rank(a):
@@ -271,11 +268,20 @@ def _certified(rows, free, basis):
     return True
 
 
-def inverse(a):
-    """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
+def adjugate(a):
+    """Transpose of the cofactor matrix, so a @ adjugate(a) == det(a) * I.
+    Entry (i, j) is (-1)**(i + j) times the det of a without row j and
+    column i."""
     n = len(a)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    return [[(-1) ** (i + j) * det([r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != j])
+             for j in range(n)] for i in range(n)]
+
+
+def inverse(a):
+    """adjugate(a) / det(a), the det expanded along the first row against
+    the adjugate; raises ValueError when singular."""
+    adj = adjugate(a)
+    d = sum(a[0][j] * adj[j][0] for j in range(len(a)))
+    if d == 0:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[div(x, d) for x in row] for row in adj]

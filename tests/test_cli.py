@@ -247,3 +247,41 @@ def test_check_rejects_other_shapes_before_building_subsets(tmp_path, capsys, mo
     path.write_text(json.dumps({"tensor": doc}))
     err = _exits_2_with_one_line(capsys, ["check", str(path)])
     assert err == "error: check_all expects a dim-4 tensor of signature (2,1,2)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--count", "0"], "error: --count must be at least 1, got 0\n"),
+    (["estimate", "--views", "2", "--count", "-5"], "error: --count must be at least 1, got -5\n"),
+    (["verify-identities", "--trials", "0"], "error: --trials must be at least 1, got 0\n"),
+    (["verify-identities", "--trials", "-1"], "error: --trials must be at least 1, got -1\n"),
+    (["invariant", "wedge:4,-1,3"],
+     "error: wedge pair needs p1, p2 >= 0 and p1+p2+2 == m, got (4, -1, 3)\n"),
+    (["invariant", "wedge:4,3,-1"],
+     "error: wedge pair needs p1, p2 >= 0 and p1+p2+2 == m, got (4, 3, -1)\n"),
+    (["invariant", "wedge:8,3,3", "--weight"], "error: wedge invariants need m <= 7, got 8\n"),
+    (["invariant", "wedge:10,4,4", "--weight"], "error: wedge invariants need m <= 7, got 10\n"),
+    (["invariant", "wedge:7,3,2", "--weight", "--trials", "11"],
+     "error: --trials must be between 1 and 10, got 11\n"),
+    (["invariant", "wedge:7,3,2", "--trials", "0"],
+     "error: --trials must be between 1 and 10, got 0\n"),
+], ids=["count-0", "count-negative", "identity-trials-0", "identity-trials-negative",
+        "wedge-negative-p1", "wedge-negative-p2", "wedge-m-8", "wedge-m-10", "weight-trials-11",
+        "weight-trials-0"])
+def test_out_of_range_counts_and_sizes_exit_2(capsys, monkeypatch, argv, message):
+    # each case is rejected before any index subset or correspondence is built
+    import mft.cli
+    import mft.invariants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(mft.invariants, "index_subsets", refuse)
+    monkeypatch.setattr(mft.cli, "random_scene", refuse)
+    assert _exits_2_with_one_line(capsys, argv) == message
+
+
+def test_largest_accepted_wedge_and_trial_count(capsys):
+    code, obj = run(capsys, "invariant", "wedge:7,5,0", "--weight", "--trials", "10")
+    assert code == 0
+    assert obj["invariant"]["signature"] == [6, 1]
+    assert isinstance(obj["weight"], int)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mft import linalg
 from mft.constraints import (
+    _slice_rank,
     DET_CUBIC_MONOMIALS,
     TrifocalSlices,
     adjugate,
@@ -20,7 +21,13 @@ from mft.constraints import (
     rank_one_certificates,
     trifocal_det_cubics,
 )
-from mft.euclidean import MotionMode, essential, random_motion, trifocal_euclidean
+from mft.euclidean import (
+    VECTOR_OF_LAMBDA2,
+    MotionMode,
+    essential,
+    random_motion,
+    trifocal_euclidean,
+)
 from mft.focal import FocalTensor
 
 
@@ -76,6 +83,54 @@ def test_det_cubic_monomial_order_against_multinomial():
         (1, 0, 2): 3, (0, 3, 0): 1, (0, 2, 1): 3, (0, 1, 2): 3, (0, 0, 3): 1,
     }
     assert dict(zip(DET_CUBIC_MONOMIALS, coeffs)) == expect
+
+
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+slice3 = st.lists(st.lists(rational, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+@given(st.lists(slice3, min_size=3, max_size=3), st.lists(rational, min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_det_cubics_evaluate_to_det_of_the_slice_combination(slices, x):
+    # asymmetric slices, so a swapped slice or row index changes the value
+    coeffs = trifocal_det_cubics(TrifocalSlices(*slices))
+    value = sum(c * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
+                for c, e in zip(coeffs, DET_CUBIC_MONOMIALS))
+    combo = [[sum(x[n] * slices[n][i][j] for n in range(3)) for j in range(3)] for i in range(3)]
+    assert value == linalg.det(combo)
+
+
+@st.composite
+def planted_rank_slice(draw):
+    """A 3x3 rational slice u1 v1^T + ... + uk vk^T of rank at most k, k in 0..3."""
+    k = draw(st.integers(0, 3))
+    us = draw(st.lists(st.lists(rational, min_size=3, max_size=3), min_size=k, max_size=k))
+    vs = draw(st.lists(st.lists(rational, min_size=3, max_size=3), min_size=k, max_size=k))
+    return [[sum((u[i] * v[j] for u, v in zip(us, vs)), Fraction(0)) for j in range(3)]
+            for i in range(3)]
+
+
+@given(planted_rank_slice())
+@settings(max_examples=200, deadline=None)
+def test_slice_rank_from_the_adjugate_is_the_rank(t):
+    assert _slice_rank(t, adjugate(t), 1e-9) == linalg.rank(t)
+
+
+@given(st.lists(planted_rank_slice(), min_size=3, max_size=3).filter(
+    lambda ts: any(v for t in ts for row in t for v in row)))
+@settings(max_examples=50, deadline=None)
+def test_check_all_reports_the_slice_ranks(slices):
+    # the tensor whose identified slices are these
+    t = FocalTensor.zeros(4, (2, 1, 2))
+    for J1, (i, s1) in VECTOR_OF_LAMBDA2.items():
+        for j in range(3):
+            for J3, (k, s3) in VECTOR_OF_LAMBDA2.items():
+                t.set((J1, (j + 1,), J3), s1 * s3 * slices[j][i - 1][k - 1])
+    assert TrifocalSlices.from_tensor(t).t == tuple(slices)
+    ranks = [linalg.rank(s) for s in slices]
+    flags = check_all(t).to_json()["flags"]
+    assert flags["slice_ranks"] == ranks
+    assert flags.get("rank_deficient", False) == any(r < 2 for r in ranks)
 
 
 def test_constraint_families_vanish_on_euclidean_trifocal():

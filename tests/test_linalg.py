@@ -1,6 +1,7 @@
 """linalg.nullspace (multi-modular, certified) against the basis read off
-linalg.rref, which stays the plain rational Gauss-Jordan reference; and
-linalg.det against the Leibniz formula."""
+linalg.rref, which stays the plain rational Gauss-Jordan reference;
+linalg.det against the Leibniz formula; and the cofactor adjugate and
+inverse against their defining identities."""
 
 import itertools
 import math
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mft import linalg
+from mft.euclidean import MotionMode, embed, random_motion
 
 FIRST_PRIME, SECOND_PRIME = itertools.islice(linalg._primes(), 2)
 
@@ -210,3 +212,60 @@ def test_det_matches_leibniz(kind, n, data):
         assert got == expected
         if kind == "int" and n <= 3:
             assert type(got) is int
+
+
+def test_rref_rejects_floats():
+    with pytest.raises(TypeError):
+        linalg.rref([[1.0, 2.0]])
+    with pytest.raises(TypeError):
+        linalg.rank([[1, Fraction(1, 2)], [0.5, 1]])
+
+
+def square(n):
+    return st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@given(st.integers(1, 5).flatmap(square))
+@settings(max_examples=150, deadline=None)
+def test_adjugate_and_inverse_identities(a):
+    n = len(a)
+    adj = linalg.adjugate(a)
+    d = linalg.det(a)
+    scaled = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    assert linalg.mat_mul(adj, a) == scaled
+    assert linalg.mat_mul(a, adj) == scaled
+    if d == 0:
+        with pytest.raises(ValueError):
+            linalg.inverse(a)
+    else:
+        inv = linalg.inverse(a)
+        assert linalg.mat_mul(inv, a) == linalg.mat_mul(a, inv) == linalg.identity(n)
+        assert all(type(x) is Fraction for row in inv for x in row)
+
+
+@st.composite
+def singular_square(draw):
+    """L @ R with L n x k and R k x n, k < n: a square matrix of rank < n."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n - 1))
+    left = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum((row[t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+            for row in left]
+
+
+@given(singular_square())
+@settings(max_examples=100, deadline=None)
+def test_inverse_raises_on_singular_input(a):
+    with pytest.raises(ValueError):
+        linalg.inverse(a)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=25, deadline=None)
+def test_inverse_of_a_haar_frame_is_all_float(seed):
+    g = embed(random_motion(seed, mode=MotionMode.FLOAT_HAAR))
+    inv = linalg.inverse(g.entries)
+    assert all(type(x) is float for row in inv for x in row)
+    prod = linalg.mat_mul(inv, g.entries)
+    assert all(abs(prod[i][j] - (i == j)) <= 1e-12 for i in range(4) for j in range(4))
