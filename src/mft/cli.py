@@ -31,13 +31,16 @@ from .euclidean import MotionMode, embed, random_motion, trifocal_euclidean
 from .focal import FocalTensor, multifocal
 from .invariants import WEDGE_MAX_DIM, catalog_lookup, check_weight
 from .polyforms import cartan_apply, random_form
-from .scalars import TOL, scalar_to_json
+from .scalars import TOL, is_zero, scalar_to_json
 
 SCHEMA = "mft/1"
 
-_SIGNATURES = {2: (1, 1), 3: (2, 1, 2), 4: (2, 2, 2, 2)}
-_INVARIANT_OF_VIEWS = {2: "bifocal", 3: "trifocal", 4: "quadrifocal"}
-_COUNTS = {2: 8, 3: 26, 4: 80}
+# views -> (invariant, signature, generator, least and default count: entries - 1)
+_VIEWS = {
+    2: ("bifocal", (1, 1), correspondences_bifocal, 8),
+    3: ("trifocal", (2, 1, 2), correspondences_trifocal, 26),
+    4: ("quadrifocal", (2, 2, 2, 2), correspondences_quadrifocal, 80),
+}
 MAX_WEIGHT_TRIALS = 10  # with WEDGE_MAX_DIM, bounds the slowest `mft invariant --weight`
 
 
@@ -95,9 +98,9 @@ def cmd_tensor(args):
     if not isinstance(frames, list):
         raise ValueError(f"scene frames must be a list of frames, got {frames!r}")
     frames = [GroupElement.from_json(f) for f in frames]
-    if args.invariant is None and len(frames) not in _INVARIANT_OF_VIEWS:
+    if args.invariant is None and len(frames) not in _VIEWS:
         raise ValueError(f"mft tensor needs a scene of 2 to 4 frames, got {len(frames)}")
-    inv = catalog_lookup(args.invariant or _INVARIANT_OF_VIEWS[len(frames)])
+    inv = catalog_lookup(args.invariant or _VIEWS[len(frames)][0])
     t = multifocal(inv, frames)
     _emit({"invariant": inv.name, "tensor": t.to_json()})
     return 0
@@ -120,29 +123,26 @@ def cmd_check(args):
 
 def cmd_estimate(args):
     mode = _mode(args)
-    count = _COUNTS[args.views] if args.count is None else args.count
+    name, signature, gen, least = _VIEWS[args.views]
+    count = least if args.count is None else args.count
     if count < 1:
         raise ValueError(f"--count must be at least 1, got {count}")
+    if count < least:
+        raise ValueError(f"--count must be at least {least} for {args.views} views, got {count}")
     rng = random.Random(args.seed)
     scene = random_scene(
         args.views, SceneKind.EUCLIDEAN, rng=rng, mode=_motion_mode(mode)
     )
-    gen = {
-        2: correspondences_bifocal,
-        3: correspondences_trifocal,
-        4: correspondences_quadrifocal,
-    }[args.views]
     cs = gen(scene, count, rng=rng)
-    inv = catalog_lookup(_INVARIANT_OF_VIEWS[args.views])
-    t_true = multifocal(inv, scene.frames)
+    t_true = multifocal(catalog_lookup(name), scene.frames)
     try:
-        est, rank = estimate_tensor(_SIGNATURES[args.views], cs)
+        est, rank = estimate_tensor(signature, cs)
     except AmbiguousSolutionError as exc:
         _emit({"error": str(exc), "nullity": exc.nullity})
         return 1
     err = alignment_error(est, t_true)
     res = residuals(t_true, cs)
-    ok = bool(err == 0) if mode == "rational" else bool(abs(err) <= 1e-6)
+    ok = is_zero(err, 1e-6)
     _emit(
         {
             "mode": mode,

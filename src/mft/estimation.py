@@ -1,9 +1,10 @@
 """Synthetic scenes, correspondences, and linear tensor recovery.
 
-A correspondence is one image feature per view (points as degree-1
-multivectors on indices 1..3, lines as degree-2).  Each correspondence
-whose lifts are incident gives one linear equation on the tensor entries;
-with enough of them the tensor spans the nullspace of the stacked system.
+A correspondence is one image feature per view, kept as its coefficients
+on that view's ``FocalTensor`` axis (points on e1..e3, lines on e12, e13,
+e23).  Each correspondence whose lifts are incident gives one linear
+equation on the tensor entries, the outer product of its features; with
+enough of them the tensor spans the nullspace of the stacked system.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 from . import linalg
 from .coaction import GroupElement, compound_action, random_frame
 from .euclidean import MotionMode, embed, random_motion
-from .exterior import Multivector, index_subsets
-from .focal import FocalTensor, contract
-from .scalars import div, is_exact
+from .exterior import Multivector
+from .focal import FocalTensor
+from .scalars import div, is_exact, is_zero
 
 
 class DegenerateProjectionError(ValueError):
@@ -49,14 +50,12 @@ class Scene:
 
 
 class Correspondence:
-    """One feature per view; degrees must match the target signature."""
+    """Per view, a degree (1 point, 2 line; both have 3 coefficients, so it
+    is kept apart) and the feature's coefficients in that axis's order."""
 
-    def __init__(self, features):
+    def __init__(self, degrees, features):
+        self.degrees = tuple(degrees)
         self.features = tuple(features)
-
-    @property
-    def degrees(self):
-        return tuple(c.degree for c in self.features)
 
 
 def random_scene(
@@ -85,7 +84,7 @@ def project_point(g: GroupElement, X):
     components 1..3 of g^-1 X, valid when component 0 is nonzero and they
     are not all zero (X is not the view's centre)."""
     y = g.inverse().apply(X)
-    if y[0] == 0 or (not is_exact(y[0]) and abs(y[0]) < 1e-12):
+    if is_zero(y[0], 1e-12):
         raise DegenerateProjectionError("point projects into the base locus")
     if not any(y[1:]):
         raise DegenerateProjectionError("point is the centre of the view")
@@ -99,11 +98,6 @@ def project_line(g: GroupElement, L: Multivector) -> Multivector:
         raise ValueError("project_line expects an ambient degree-2 multivector")
     moved = compound_action(g.inverse(), L)
     return Multivector(g.dim, 2, {R: v for R, v in moved.coeffs.items() if 0 not in R})
-
-
-def point_feature(coords) -> Multivector:
-    """Image point as a degree-1 multivector on indices 1..3 of dim 4."""
-    return Multivector(4, 1, {(i + 1,): c for i, c in enumerate(coords)})
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +117,18 @@ def _projected_features(scene, rng, exact, bound=100):
     for _attempt in range(bound):
         X = _random_point(rng, exact, 4)
         try:
-            return [point_feature(project_point(g, X)) for g in scene.frames]
+            return [project_point(g, X) for g in scene.frames]
         except DegenerateProjectionError:
             continue
     raise RuntimeError("could not sample a nondegenerate ambient point")
 
 
 def _line_through_random(p, rng, exact, bound=100):
+    """Coefficients of p ^ q on e12, e13, e23 for a random image point q."""
     for _attempt in range(bound):
-        line = p ^ point_feature(_random_point(rng, exact, 3))
-        if not line.is_zero():
+        q = _random_point(rng, exact, 3)
+        line = [p[i] * q[j] - p[j] * q[i] for i, j in ((0, 1), (0, 2), (1, 2))]
+        if not all(is_zero(c) for c in line):
             return line
     raise RuntimeError("could not sample a line through the image point")
 
@@ -172,7 +168,7 @@ def _generate(scene, count, degrees, seed, rng):
                 features.append(_line_through_random(p, rng, exact))
             else:
                 raise ValueError(f"unsupported feature degree {d}")
-        out.append(Correspondence(features))
+        out.append(Correspondence(degrees, features))
     return out
 
 
@@ -181,33 +177,28 @@ def _generate(scene, count, degrees, seed, rng):
 
 
 def linear_rows(signature, correspondences):
-    """Coefficient rows of the homogeneous system: row entry at flattened
-    cell (J1..Jn) is the product of feature coefficients at those subsets."""
-    axes = [index_subsets(4, p, start=1) for p in signature]
+    """Coefficient rows of the homogeneous system: the outer product of the
+    features in flat cell order, each prefix product formed once."""
     rows = []
     for corr in correspondences:
         if corr.degrees != tuple(signature):
             raise ValueError(
                 f"correspondence degrees {corr.degrees} != signature {tuple(signature)}"
             )
-        row = []
-        _fill_row(axes, corr.features, 0, 1, row)
+        row = [1]
+        for f in corr.features:
+            row = [x * c for x in row for c in f]
         rows.append(row)
     return rows
 
 
-def _fill_row(axes, features, level, acc, row):
-    if level == len(axes):
-        row.append(acc)
-        return
-    c = features[level]
-    for J in axes[level]:
-        _fill_row(axes, features, level + 1, acc * c.coeff(J), row)
-
-
 def residuals(t: FocalTensor, correspondences):
-    """contract(t, features) per correspondence; zero at true matches."""
-    return [contract(t, corr.features) for corr in correspondences]
+    """t contracted with the features, per correspondence: the row dotted
+    with the cells; zero at true matches."""
+    return [
+        sum(r * v for r, v in zip(row, t.values))
+        for row in linear_rows(t.signature, correspondences)
+    ]
 
 
 def solve_nullspace(rows, tol: float = 1e-7):

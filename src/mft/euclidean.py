@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .coaction import GroupElement
 from .focal import FocalTensor
-from .scalars import is_exact, scalar_from_json, scalar_to_json
+from .scalars import is_exact, is_zero, scalar_from_json, scalar_to_json
 
 
 class OrthogonalityError(ValueError):
@@ -48,17 +48,15 @@ class EuclideanMotion:
     def _check_rotation(self):
         r = [list(row) for row in self.r]
         rtr = linalg.mat_mul(linalg.transpose(r), r)
-        exact = all(is_exact(x) for row in r for x in row)
-        tol = 0 if exact else 1e-12
         for i in range(3):
             for j in range(3):
                 target = 1 if i == j else 0
-                if abs(rtr[i][j] - target) > tol:
+                if not is_zero(rtr[i][j] - target, 1e-12):
                     raise OrthogonalityError(
                         f"r^t r differs from identity at ({i},{j}): {rtr[i][j]}"
                     )
         d = linalg.det(r)
-        if abs(d - 1) > tol:
+        if not is_zero(d - 1, 1e-12):
             raise OrthogonalityError(f"det r = {d}, expected 1")
 
     @classmethod

@@ -7,7 +7,7 @@ exact over Fraction/int, so dimension counts are reliable.
 from fractions import Fraction
 
 from mft import linalg
-from mft.exterior import Multivector
+from mft.exterior import Multivector, index_subsets
 
 
 def span_dim(vectors):
@@ -69,3 +69,21 @@ def random_subspace_through(rng, point, k, dim=4):
         vs = [list(point)] + [random_rational_vector(rng, dim) for _ in range(k - 1)]
         if span_dim(vs) == k:
             return vs
+
+
+def reference_row(features):
+    """Reference for ``estimation.linear_rows`` on multivector features: each
+    coefficient read by coeff(J) over index_subsets(4, p, start=1), prefix
+    products formed recursively, last axis fastest."""
+    axes = [index_subsets(4, c.degree, start=1) for c in features]
+    row = []
+
+    def fill(level, acc):
+        if level == len(features):
+            row.append(acc)
+            return
+        for J in axes[level]:
+            fill(level + 1, acc * features[level].coeff(J))
+
+    fill(0, 1)
+    return row

@@ -252,6 +252,12 @@ def test_check_rejects_other_shapes_before_building_subsets(tmp_path, capsys, mo
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--count", "0"], "error: --count must be at least 1, got 0\n"),
     (["estimate", "--views", "2", "--count", "-5"], "error: --count must be at least 1, got -5\n"),
+    (["estimate", "--views", "2", "--count", "3"],
+     "error: --count must be at least 8 for 2 views, got 3\n"),
+    (["estimate", "--views", "3", "--count", "25"],
+     "error: --count must be at least 26 for 3 views, got 25\n"),
+    (["estimate", "--views", "4", "--count", "79"],
+     "error: --count must be at least 80 for 4 views, got 79\n"),
     (["verify-identities", "--trials", "0"], "error: --trials must be at least 1, got 0\n"),
     (["verify-identities", "--trials", "-1"], "error: --trials must be at least 1, got -1\n"),
     (["invariant", "wedge:4,-1,3"],
@@ -264,7 +270,8 @@ def test_check_rejects_other_shapes_before_building_subsets(tmp_path, capsys, mo
      "error: --trials must be between 1 and 10, got 11\n"),
     (["invariant", "wedge:7,3,2", "--trials", "0"],
      "error: --trials must be between 1 and 10, got 0\n"),
-], ids=["count-0", "count-negative", "identity-trials-0", "identity-trials-negative",
+], ids=["count-0", "count-negative", "count-3-of-8", "count-25-of-26", "count-79-of-80",
+        "identity-trials-0", "identity-trials-negative",
         "wedge-negative-p1", "wedge-negative-p2", "wedge-m-8", "wedge-m-10", "weight-trials-11",
         "weight-trials-0"])
 def test_out_of_range_counts_and_sizes_exit_2(capsys, monkeypatch, argv, message):

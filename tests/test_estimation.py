@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mft.coaction import GroupElement
+from mft.coaction import GroupElement, random_frame
 from mft.constraints import check_all
 from mft.estimation import (
     AmbiguousSolutionError,
+    Correspondence,
     DegenerateProjectionError,
     SceneKind,
     alignment_error,
@@ -20,14 +23,16 @@ from mft.estimation import (
     random_scene,
     residuals,
 )
+from mft.estimation import _line_through_random, _random_point
 from mft.euclidean import MotionMode
-from mft.exterior import Multivector
-from mft.focal import multifocal
+from mft.exterior import Multivector, index_subsets
+from mft.focal import contract, multifocal
 from mft.invariants import (
     invariant_bifocal,
     invariant_quadrifocal,
     invariant_trifocal,
 )
+from oracles import reference_row
 
 
 def test_project_point_inverse_convention():
@@ -193,3 +198,68 @@ def test_scene_determinism():
     a = random_scene(3, SceneKind.EUCLIDEAN, seed=11)
     b = random_scene(3, SceneKind.EUCLIDEAN, seed=11)
     assert all(x == y for x, y in zip(a.frames, b.frames))
+
+
+# Image features as multivectors on indices 1..3 (points of degree 1, lines
+# as wedges of two points), and as the plain coefficient lists on their axes.
+rationals = st.fractions(-9, 9, max_denominator=5)
+floats = st.floats(-10, 10)
+SIGNATURES = [
+    ((1, 1), invariant_bifocal),
+    ((2, 1, 2), invariant_trifocal),
+    ((2, 2, 2, 2), invariant_quadrifocal),
+]
+
+
+def image_point(v):
+    return Multivector.from_vector(v, offset=1, dim=4)
+
+
+def matches(scalars):
+    """(signature, invariant) and one multivector feature per axis."""
+    point = st.lists(scalars, min_size=3, max_size=3).map(image_point)
+    by_degree = {1: point, 2: st.tuples(point, point).map(lambda pq: pq[0] ^ pq[1])}
+    return st.sampled_from(SIGNATURES).flatmap(
+        lambda s: st.tuples(st.just(s), st.tuples(*[by_degree[p] for p in s[0]]))
+    )
+
+
+def plain(c):
+    return [c.coeff(J) for J in index_subsets(4, c.degree, start=1)]
+
+
+@given(matches(rationals), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_rows_and_residuals_match_the_multivector_reference(match, seed):
+    (sig, inv), mvs = match
+    corr = Correspondence(sig, [plain(c) for c in mvs])
+    (row,) = linear_rows(sig, [corr])
+    ref = reference_row(mvs)
+    assert row == ref
+    assert [type(x) for x in row] == [type(x) for x in ref]
+    rng = random.Random(seed)
+    t = multifocal(inv(), [random_frame(4, rng) for _ in sig])
+    assert residuals(t, [corr]) == [contract(t, mvs)]
+
+
+@given(matches(floats))
+@settings(max_examples=60, deadline=None)
+def test_float_rows_are_bit_identical_to_the_multivector_reference(match):
+    (sig, _inv), mvs = match
+    (row,) = linear_rows(sig, [Correspondence(sig, [plain(c) for c in mvs])])
+    # repr tells int 0 from 0.0 and 0.0 from -0.0
+    assert list(map(repr, row)) == list(map(repr, reference_row(mvs)))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_generated_lines_are_the_wedge_with_the_drawn_point(exact, seed):
+    rng = random.Random(seed)
+    p = _random_point(rng, exact, 3)
+    state = rng.getstate()
+    q = _random_point(rng, exact, 3)
+    wedge = image_point(p) ^ image_point(q)
+    assume(not wedge.is_zero())  # else the generator draws another q
+    rng.setstate(state)
+    assert _line_through_random(p, rng, exact) == plain(wedge)
