@@ -106,7 +106,14 @@ def cmd_tensor(args):
     return 0
 
 
+def _tol(args):
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
+    return args.tol
+
+
 def cmd_check(args):
+    tol = _tol(args)
     doc = _load_json(args.tensor)
     doc = doc.get("tensor", doc)
     if not isinstance(doc, dict):
@@ -116,7 +123,7 @@ def cmd_check(args):
     if doc.get("dim") != 4 or doc.get("signature") != [2, 1, 2]:
         raise ValueError("check_all expects a dim-4 tensor of signature (2,1,2)")
     t = FocalTensor.from_json(doc)
-    report = check_all(t, tol=args.tol)
+    report = check_all(t, tol=tol)
     _emit({"report": report.to_json()})
     return 0 if report.passed else 1
 
@@ -160,6 +167,7 @@ def cmd_estimate(args):
 
 def cmd_verify_identities(args):
     mode = _mode(args)
+    tol = _tol(args)
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = random.Random(args.seed)
@@ -170,9 +178,8 @@ def cmd_verify_identities(args):
         a = random_motion(mode=_motion_mode(mode), rng=rng)
         b = random_motion(mode=_motion_mode(mode), rng=rng)
         ts = TrifocalSlices.from_tensor(trifocal_euclidean(a, b))
-        rep = euclidean_identity_suite(ts, a, b, tol=args.tol)
-        for fam in rank_one_certificates(ts, motions=(a, b), tol=args.tol).families:
-            rep.families.append(fam)
+        rep = euclidean_identity_suite(ts, a, b, tol=tol)
+        rep.families.extend(rank_one_certificates(ts, motions=(a, b), tol=tol).families)
         ok = ok and rep.passed
         worst = max(worst, float(rep.max_residual()))
         reports.append(rep.to_json())
@@ -228,7 +235,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="run the constraint corpus on a tensor file")
     p.add_argument("tensor", help="JSON tensor file")
-    p.add_argument("--tol", type=float, default=TOL)
+    p.add_argument("--tol", type=float, default=TOL, help="finite, >= 0")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("estimate", help="round-trip: scene, correspondences, recovery")
@@ -240,7 +247,7 @@ def build_parser():
     p = sub.add_parser("verify-identities", help="slice identity suite on random motions")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=TOL)
+    p.add_argument("--tol", type=float, default=TOL, help="finite, >= 0")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_verify_identities)
 

@@ -86,30 +86,33 @@ def frobenius_identity_residual(mtx):
 
 class TrifocalSlices:
     """The three 3x3 slice matrices of a (2,1,2) focal tensor in identified
-    coordinates, with lazily computed adjugates."""
+    coordinates, with lazily computed adjugates and memoized products."""
 
     def __init__(self, t1, t2, t3):
         self.t = (t1, t2, t3)
+        self._chains = {}
 
     @classmethod
     def from_tensor(cls, tensor: FocalTensor):
         m = tensor_to_identified(tensor)
-        slices = [
-            [[m[i][j][k] for k in range(3)] for i in range(3)] for j in range(3)
-        ]
-        return cls(*slices)
+        return cls(*([[m[i][j][k] for k in range(3)] for i in range(3)] for j in range(3)))
 
     @cached_property
     def a(self):
         return tuple(adjugate(ti) for ti in self.t)
 
-    def max_abs(self):
-        return max(abs(v) for ti in self.t for row in ti for v in row)
-
-    def scaled(self, s):
-        return TrifocalSlices(
-            *[[[v * s for v in row] for row in ti] for ti in self.t]
-        )
+    def chain(self, word, *idx):
+        """The product of slices ("t") and adjugates ("a") spelled by word,
+        e.g. chain("tat", i, j, k) = t_i a_j t_k.  Formed once, left to
+        right from its memoized prefix; callers must not mutate it."""
+        key = (word, idx)
+        if key not in self._chains:
+            last = (self.t if word[-1] == "t" else self.a)[idx[-1]]
+            self._chains[key] = (
+                last if len(word) == 1
+                else linalg.mat_mul(self.chain(word[:-1], *idx[:-1]), last)
+            )
+        return self._chains[key]
 
 
 # Fixed monomial order for the 10 cubic coefficients of det t(x).
@@ -160,11 +163,8 @@ def braid_residual(ts: TrifocalSlices):
     degree-4 system vanishing on the Euclidean trifocal variety."""
     worst = 0
     for i, j in combinations(range(3), 2):
-        lhs = linalg.mat_mul(linalg.mat_mul(ts.t[i], ts.a[j]), ts.t[i])
-        rhs = linalg.mat_mul(linalg.mat_mul(ts.t[j], ts.a[i]), ts.t[j])
-        for ri, rj in zip(lhs, rhs):
-            for x, y in zip(ri, rj):
-                worst = max(worst, abs(x - y))
+        for d in _mat_diff(ts.chain("tat", i, j, i), ts.chain("tat", j, i, j)):
+            worst = max(worst, abs(d))
     return worst
 
 
@@ -231,21 +231,19 @@ def euclidean_identity_suite(
     s, w = b.r, list(b.u)
     r_col = [[r[i][j] for i in range(3)] for j in range(3)]
     s_col = [[s[i][j] for i in range(3)] for j in range(3)]
-    t, adj = ts.t, ts.a
 
     report = ConstraintReport()
 
     res = []
     for i in range(3):
         rhs = _outer(_cross(s_col[i], w), _cross(r_col[i], u))
-        res.extend(_mat_diff(adj[i], rhs))
+        res.extend(_mat_diff(ts.a[i], rhs))
     report.add("f1:adjugate-form", res, tol)
 
     res = []
     for i in range(3):
-        prod = linalg.mat_mul(t[i], adj[i])
-        res.extend(v for row in prod for v in row)
-        res.append(linalg.det(t[i]))
+        res.extend(v for row in ts.chain("ta", i, i) for v in row)
+        res.append(linalg.det(ts.t[i]))
     report.add("f2:slice-singular", res, tol)
 
     res = []
@@ -253,7 +251,7 @@ def euclidean_identity_suite(
         coef = _dot(_cross(s_col[i], s_col[j]), w)
         rhs = _outer(u, _cross(r_col[j], u))
         rhs = [[coef * v for v in row] for row in rhs]
-        res.extend(_mat_diff(linalg.mat_mul(t[i], adj[j]), rhs))
+        res.extend(_mat_diff(ts.chain("ta", i, j), rhs))
     report.add("f3:t-adj", res, tol)
 
     res = []
@@ -261,29 +259,26 @@ def euclidean_identity_suite(
         coef = _dot(_cross(r_col[i], r_col[j]), u)
         rhs = _outer(_cross(s_col[j], w), w)
         rhs = [[-coef * v for v in row] for row in rhs]
-        res.extend(_mat_diff(linalg.mat_mul(adj[j], t[i]), rhs))
+        res.extend(_mat_diff(ts.chain("at", j, i), rhs))
     report.add("f4:adj-t", res, tol)
 
     res = []
     for i, j in permutations(range(3), 2):
         coef = _dot(_cross(s_col[i], s_col[j]), w) * _dot(_cross(r_col[j], r_col[i]), u)
         rhs = [[coef * v for v in row] for row in _outer(u, w)]
-        lhs = linalg.mat_mul(linalg.mat_mul(t[i], adj[j]), t[i])
-        res.extend(_mat_diff(lhs, rhs))
+        res.extend(_mat_diff(ts.chain("tat", i, j, i), rhs))
     report.add("f5:sandwich-pair", res, tol)
 
     res = []
     for i, j, k in permutations(range(3)):
         coef = _dot(_cross(s_col[i], s_col[j]), w) * _dot(_cross(r_col[j], r_col[k]), u)
         rhs = [[coef * v for v in row] for row in _outer(u, w)]
-        lhs = linalg.mat_mul(linalg.mat_mul(t[i], adj[j]), t[k])
-        res.extend(_mat_diff(lhs, rhs))
+        res.extend(_mat_diff(ts.chain("tat", i, j, k), rhs))
     report.add("f6:sandwich-triple", res, tol)
 
     res = []
     for i, j, k in permutations(range(3)):
-        lhs = linalg.mat_mul(linalg.mat_mul(adj[i], t[j]), adj[k])
-        res.extend(v for row in lhs for v in row)
+        res.extend(v for row in ts.chain("ata", i, j, k) for v in row)
     report.add("f7:adj-sandwich-zero", res, tol)
 
     return report
@@ -297,28 +292,23 @@ def _mat_diff(x, y):
 # Rank-one certificates
 
 
+# Block (p, q) of the block 4-tensor is sign * t_a adj_b t_c.
+_BLOCKS = {
+    (0, 0): (-1, 2, 1, 2), (0, 1): (1, 1, 2, 0), (0, 2): (1, 2, 1, 0),
+    (1, 0): (1, 0, 2, 1), (1, 1): (-1, 2, 0, 2), (1, 2): (1, 2, 0, 1),
+    (2, 0): (1, 0, 1, 2), (2, 1): (1, 1, 0, 2), (2, 2): (-1, 1, 0, 1),
+}
+
+
 def _block_tensor(ts: TrifocalSlices):
-    """The 81-entry 4-tensor Q[i][j][p][q]: block (p, q) holds a triple
-    product of slices and adjugates; equals u (x) w (x) w_bar (x) u_bar on
-    the Euclidean trifocal variety."""
-    t, a = ts.t, ts.a
-
-    def tri(x, y, z, sign=1):
-        m = linalg.mat_mul(linalg.mat_mul(x, y), z)
-        return [[sign * v for v in row] for row in m]
-
-    blocks = [
-        [tri(t[2], a[1], t[2], -1), tri(t[1], a[2], t[0]), tri(t[2], a[1], t[0])],
-        [tri(t[0], a[2], t[1]), tri(t[2], a[0], t[2], -1), tri(t[2], a[0], t[1])],
-        [tri(t[0], a[1], t[2]), tri(t[1], a[0], t[2]), tri(t[1], a[0], t[1], -1)],
-    ]
-    q = [[[[0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-    for p in range(3):
-        for qq in range(3):
-            for i in range(3):
-                for j in range(3):
-                    q[i][j][p][qq] = blocks[p][qq][i][j]
-    return q
+    """The 81-entry 4-tensor Q, keyed by (i, j, p, q): entry (i, j) of block
+    (p, q); equals u (x) w (x) w_bar (x) u_bar on the Euclidean trifocal
+    variety."""
+    return {
+        (i, j, p, qq): sign * ts.chain("tat", a, b, c)[i][j]
+        for (p, qq), (sign, a, b, c) in _BLOCKS.items()
+        for i, j in product(range(3), repeat=2)
+    }
 
 
 def _rank_one_minors(matrix):
@@ -333,20 +323,11 @@ def _rank_one_minors(matrix):
 
 
 def _flattenings(q):
-    """The four mode flattenings of a 3x3x3x3 nested-list tensor."""
-    flats = []
-    for mode in range(4):
-        rows = []
-        for i in range(3):
-            row = []
-            for idx in product(range(3), repeat=3):
-                full = list(idx)
-                full.insert(mode, i)
-                a, b, c, d = full
-                row.append(q[a][b][c][d])
-            rows.append(row)
-        flats.append(rows)
-    return flats
+    """The four mode flattenings of a 4-tensor keyed by index 4-tuples."""
+    return [
+        [[q[x[:mode] + (i,) + x[mode:]] for x in product(range(3), repeat=3)] for i in range(3)]
+        for mode in range(4)
+    ]
 
 
 def rank_one_certificates(
@@ -366,9 +347,7 @@ def rank_one_certificates(
     report.add("adjugate-sum-rank1", _rank_one_minors(adj_asum), tol)
 
     q = _block_tensor(ts)
-    res = []
-    for flat in _flattenings(q):
-        res.extend(_rank_one_minors(flat))
+    res = [m for flat in _flattenings(q) for m in _rank_one_minors(flat)]
     report.add("block-tensor-rank1", res, tol)
 
     if motions is not None:
@@ -379,9 +358,8 @@ def rank_one_certificates(
         coef = _dot(u_bar, w_bar)
         target = [[coef * ui * wj for wj in w] for ui in u]
         report.add("adjugate-sum-closed-form", _mat_diff(adj_asum, target), tol)
-        res = []
-        for i, j, p, qq in product(range(3), repeat=4):
-            res.append(q[i][j][p][qq] - u[i] * w[j] * w_bar[p] * u_bar[qq])
+        res = [q[i, j, p, qq] - u[i] * w[j] * w_bar[p] * u_bar[qq]
+               for i, j, p, qq in product(range(3), repeat=4)]
         report.add("block-tensor-closed-form", res, tol)
     return report
 
@@ -405,14 +383,13 @@ def check_all(tensor: FocalTensor, tol: float = TOL) -> ConstraintReport:
     to unit max-abs entry.  Pass iff every family is within tol."""
     if tensor.signature != (2, 1, 2) or tensor.dim != 4:
         raise ValueError("check_all expects a dim-4 tensor of signature (2,1,2)")
-    ts = TrifocalSlices.from_tensor(tensor)
     report = ConstraintReport()
-    mx = ts.max_abs()
+    mx = tensor.max_abs()
     if mx == 0:
         report.flags["rank_deficient"] = True
         report.add("det-cubics", [0], tol)
         return report
-    ts = ts.scaled(div(1, mx))
+    ts = TrifocalSlices.from_tensor(tensor.scale(div(1, mx)))
 
     slice_ranks = [_slice_rank(ti, ai, tol) for ti, ai in zip(ts.t, ts.a)]
     if any(rk < 2 for rk in slice_ranks):
@@ -424,6 +401,5 @@ def check_all(tensor: FocalTensor, tol: float = TOL) -> ConstraintReport:
     report.add("epipolar-sextics-right", right, tol)
     report.add("epipolar-sextics-left", left, tol)
     report.add("braid", [braid_residual(ts)], tol)
-    for fam in rank_one_certificates(ts, tol=tol).families:
-        report.families.append(fam)
+    report.families.extend(rank_one_certificates(ts, tol=tol).families)
     return report

@@ -10,6 +10,7 @@ enough of them the tensor spans the nullspace of the stacked system.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from fractions import Fraction
 
@@ -178,13 +179,16 @@ def _generate(scene, count, degrees, seed, rng):
 
 def linear_rows(signature, correspondences):
     """Coefficient rows of the homogeneous system: the outer product of the
-    features in flat cell order, each prefix product formed once."""
+    features in flat cell order, each prefix product formed once.  A feature
+    of degree d must have C(3, d) coefficients, else ValueError."""
     rows = []
     for corr in correspondences:
         if corr.degrees != tuple(signature):
             raise ValueError(
                 f"correspondence degrees {corr.degrees} != signature {tuple(signature)}"
             )
+        if [len(f) for f in corr.features] != [math.comb(3, d) for d in corr.degrees]:
+            raise ValueError(f"features {corr.features} do not fit degrees {corr.degrees}")
         row = [1]
         for f in corr.features:
             row = [x * c for x in row for c in f]

@@ -16,6 +16,7 @@ import enum
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
 from .coaction import GroupElement
@@ -143,16 +144,19 @@ def trifocal_closed_form(a: EuclideanMotion, b: EuclideanMotion):
     ]
 
 
+# (i, j, k, sign) per (2,1,2) cell in cell order, the 2-subsets sorted: the
+# cell holds sign * M[i][j][k] of the identified array.
+_AXIS = [VECTOR_OF_LAMBDA2[J] for J in sorted(VECTOR_OF_LAMBDA2)]
+_IDENTIFICATION = [
+    (i - 1, j, k - 1, s1 * s3) for (i, s1), j, (k, s3) in product(_AXIS, range(3), _AXIS)
+]
+
+
 def trifocal_euclidean(a: EuclideanMotion, b: EuclideanMotion) -> FocalTensor:
     """Euclidean trifocal tensor in focal-tensor coordinates (signature
     (2,1,2)), via the closed form and the frozen identification."""
     m = trifocal_closed_form(a, b)
-    t = FocalTensor.zeros(4, (2, 1, 2))
-    for J1, (i, s1) in VECTOR_OF_LAMBDA2.items():
-        for j in range(3):
-            for J3, (k, s3) in VECTOR_OF_LAMBDA2.items():
-                t.set((J1, (j + 1,), J3), s1 * s3 * m[i - 1][j][k - 1])
-    return t
+    return FocalTensor(4, (2, 1, 2), [s * m[i][j][k] for i, j, k, s in _IDENTIFICATION])
 
 
 def tensor_to_identified(t: FocalTensor):
@@ -162,10 +166,8 @@ def tensor_to_identified(t: FocalTensor):
     if t.signature != (2, 1, 2) or t.dim != 4:
         raise ValueError("expected a dim-4 tensor of signature (2,1,2)")
     m = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for J1, (i, s1) in VECTOR_OF_LAMBDA2.items():
-        for j in range(3):
-            for J3, (k, s3) in VECTOR_OF_LAMBDA2.items():
-                m[i - 1][j][k - 1] = s1 * s3 * t.get(J1, (j + 1,), J3)
+    for (i, j, k, s), v in zip(_IDENTIFICATION, t.values):
+        m[i][j][k] = s * v
     return m
 
 

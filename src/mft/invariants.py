@@ -3,7 +3,9 @@
 Each invariant is a sparse coefficient array over tuples of index subsets,
 one subset per tensor factor.  transform, the GL-action, is ``coaction.act``
 on the compound minors of g^-1.  The weight is the integer k with
-g . I = det(g)^k I; it is measured, not assumed, by check_weight.
+g . I = det(g)^k I.  Homogeneity fixes it: a scalar g = c 1 acts on each
+factor Lambda^s V* by c^-s and has det c^dim, so k = -sum(signature) / dim.
+check_weight verifies that k exactly on random frames.
 """
 
 from __future__ import annotations
@@ -147,49 +149,23 @@ def transform(g: GroupElement, inv: Invariant) -> Invariant:
 
 
 def check_weight(inv: Invariant, trials: int = 20, seed: int = 0) -> int:
-    """Measure the integer k with g . I = det(g)^k I, exactly, over random
-    rational group elements.  Raises InvarianceViolationError otherwise."""
+    """The integer k = -sum(signature) / dim, verified to satisfy
+    g . I = det(g)^k I exactly over random rational group elements.  Raises
+    InvarianceViolationError when dim does not divide the sum or a frame
+    breaks the equation."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    k, rem = divmod(-sum(inv.signature), inv.dim)
+    if rem:
+        raise InvarianceViolationError(f"dim {inv.dim} does not divide -sum{inv.signature}")
     rng = random.Random(seed)
-    found_k = None
     for _ in range(trials):
         g = random_frame(inv.dim, rng)
-        while abs(g.det()) == 1:  # a unit determinant matches every power
+        while abs(g.det()) == 1:  # with det(g) = +-1 every k fits up to sign
             g = random_frame(inv.dim, rng)
-        moved = transform(g, inv)
-        k = _match_det_power(inv, moved, g)
-        if k is None:
-            raise InvarianceViolationError(
-                f"no integer determinant power matches the action on {inv.name or 'invariant'}",
-                g=g,
-            )
-        if found_k is None:
-            found_k = k
-        elif found_k != k:
-            raise InvarianceViolationError(
-                f"inconsistent weights {found_k} vs {k}", g=g
-            )
-    return found_k
-
-
-def _match_det_power(inv, moved, g):
-    d = Fraction(g.det())
-    # ratio from any reference coefficient, then verify globally
-    ref_key = next(iter(inv.coeffs))
-    if ref_key not in moved.coeffs:
-        return None
-    ratio = Fraction(moved.coeffs[ref_key]) / Fraction(inv.coeffs[ref_key])
-    k = None
-    for cand in range(-12, 13):
-        if d**cand == ratio:
-            k = cand
-            break
-    if k is None:
-        return None
-    scaled = {key: c * ratio for key, c in inv.coeffs.items()}
-    if scaled != moved.coeffs:
-        return None
+        d = Fraction(g.det())
+        if transform(g, inv).coeffs != {key: c * d**k for key, c in inv.coeffs.items()}:
+            raise InvarianceViolationError(f"g . I != det(g)^{k} I for {inv.name!r}", g=g)
     return k
 
 

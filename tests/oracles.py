@@ -5,6 +5,7 @@ exact over Fraction/int, so dimension counts are reliable.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from mft import linalg
 from mft.exterior import Multivector, index_subsets
@@ -87,3 +88,44 @@ def reference_row(features):
 
     fill(0, 1)
     return row
+
+
+def reference_block_tensor(ts):
+    """Reference for ``constraints._block_tensor``: the nested list
+    Q[i][j][p][q], block (p, q) a signed triple product of slices and
+    adjugates, each product formed on its own."""
+    t, a = ts.t, ts.a
+
+    def tri(x, y, z, sign=1):
+        m = linalg.mat_mul(linalg.mat_mul(x, y), z)
+        return [[sign * v for v in row] for row in m]
+
+    blocks = [
+        [tri(t[2], a[1], t[2], -1), tri(t[1], a[2], t[0]), tri(t[2], a[1], t[0])],
+        [tri(t[0], a[2], t[1]), tri(t[2], a[0], t[2], -1), tri(t[2], a[0], t[1])],
+        [tri(t[0], a[1], t[2]), tri(t[1], a[0], t[2]), tri(t[1], a[0], t[1], -1)],
+    ]
+    q = [[[[0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    for p in range(3):
+        for qq in range(3):
+            for i in range(3):
+                for j in range(3):
+                    q[i][j][p][qq] = blocks[p][qq][i][j]
+    return q
+
+
+def reference_flattenings(q):
+    """The four mode flattenings of a 3x3x3x3 nested-list tensor."""
+    flats = []
+    for mode in range(4):
+        rows = []
+        for i in range(3):
+            row = []
+            for idx in product(range(3), repeat=3):
+                full = list(idx)
+                full.insert(mode, i)
+                a, b, c, d = full
+                row.append(q[a][b][c][d])
+            rows.append(row)
+        flats.append(rows)
+    return flats

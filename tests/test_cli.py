@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mft.cli import main
 
@@ -292,3 +298,88 @@ def test_largest_accepted_wedge_and_trial_count(capsys):
     assert code == 0
     assert obj["invariant"]["signature"] == [6, 1]
     assert isinstance(obj["weight"], int)
+
+
+@pytest.mark.parametrize("command", ["check", "verify-identities"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_tol_must_be_finite_and_not_negative(tmp_path, capsys, monkeypatch, command, tol):
+    # a perturbed float tensor passed `check --tol inf`, and `--tol nan` or
+    # `--tol -1` failed true identities; each is rejected before any work
+    import mft.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --tol was checked")
+
+    monkeypatch.setattr(mft.cli, "_load_json", refuse)
+    monkeypatch.setattr(mft.cli, "random_motion", refuse)
+    argv = [command, f"--tol={tol}"] + ([str(tmp_path / "t.json")] if command == "check" else [])
+    err = _exits_2_with_one_line(capsys, argv)
+    assert err == f"error: --tol must be finite and at least 0, got {float(tol)}\n"
+
+
+def test_tol_zero_is_accepted(capsys):
+    code, obj = run(capsys, "--mode", "rational", "verify-identities", "--trials", "1",
+                    "--tol", "0")
+    assert code == 0 and obj["pass"] is True
+
+
+good_cell = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.integers(-9, 9),
+                     st.sampled_from(["1/3", "-2/7"]))
+bad_cell = st.sampled_from(["1/0", "x", True, None, [1]])
+any_json = st.recursive(
+    st.one_of(good_cell, bad_cell, st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+def _shaped(shape, cell, slack=0):
+    """Nested lists of the given shape; with slack, each level may be that
+    much shorter or longer."""
+    if not shape:
+        return cell
+    return st.lists(_shaped(shape[1:], cell, slack), min_size=max(shape[0] - slack, 0),
+                    max_size=shape[0] + slack)
+
+
+def _mostly(good, bad):
+    """good in about nine draws of ten, else bad."""
+    return st.integers(0, 9).flatmap(lambda n: bad if n == 0 else good)
+
+
+tensor_docs = st.fixed_dictionaries({
+    "dim": _mostly(st.just(4), st.sampled_from([3, 5, -1, "4", None])),
+    "signature": _mostly(st.just([2, 1, 2]), st.sampled_from([[1, 1], [2, 2], [], [2, -1, 2]])),
+    "data": _mostly(_shaped((3, 3, 3), good_cell),
+                    _shaped((3, 3, 3), st.one_of(good_cell, bad_cell), slack=1)),
+})
+check_inputs = _mostly(st.one_of(tensor_docs, st.fixed_dictionaries({"tensor": tensor_docs})), any_json)
+invertible = _shaped((4, 4), st.integers(-5, 5)).map(  # diagonally dominant
+    lambda g: [[v + 30 * (i == j) for j, v in enumerate(row)] for i, row in enumerate(g)])
+frames = _mostly(st.lists(invertible, min_size=2, max_size=4),
+                st.lists(_shaped((4, 4), st.one_of(good_cell, bad_cell), slack=1), max_size=5))
+scene_inputs = _mostly(st.fixed_dictionaries({"frames": frames}), any_json)
+tol_values = _mostly(st.none(), st.one_of(st.sampled_from(["0", "inf", "-inf", "nan", "-1", "x"]),
+                                          st.floats().map(repr)))
+
+
+@given(st.one_of(st.tuples(st.just("check"), check_inputs, tol_values),
+                 st.tuples(st.just("tensor"), scene_inputs, st.none())))
+@settings(max_examples=200, deadline=None)
+def test_check_and_tensor_end_in_an_answer_or_one_error_line(case):
+    command, doc, tol = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/input.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [command, path] + ([] if tol is None else [f"--tol={tol}"])
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len([ln for ln in lines if "error:" in ln]) == 1, lines
+    else:
+        assert json.loads(out.getvalue())["schema"] == "mft/1"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from mft import linalg
 from mft.constraints import (
+    _block_tensor,
+    _flattenings,
     _slice_rank,
     DET_CUBIC_MONOMIALS,
     TrifocalSlices,
@@ -29,6 +32,7 @@ from mft.euclidean import (
     trifocal_euclidean,
 )
 from mft.focal import FocalTensor
+from oracles import reference_block_tensor, reference_flattenings
 
 
 def random_rational_matrix(rng, lo=-9, hi=9):
@@ -98,6 +102,41 @@ def test_det_cubics_evaluate_to_det_of_the_slice_combination(slices, x):
                 for c, e in zip(coeffs, DET_CUBIC_MONOMIALS))
     combo = [[sum(x[n] * slices[n][i][j] for n in range(3)) for j in range(3)] for i in range(3)]
     assert value == linalg.det(combo)
+
+
+real = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+float_slice3 = st.lists(st.lists(real, min_size=3, max_size=3), min_size=3, max_size=3)
+slice_triples = st.one_of(st.lists(slice3, min_size=3, max_size=3),
+                          st.lists(float_slice3, min_size=3, max_size=3))
+
+
+def _bits(rows):
+    """Type and repr of every entry, so -0.0 and 0.0 or 1 and 1.0 differ."""
+    return [[(type(v).__name__, repr(v)) for v in row] for row in rows]
+
+
+@given(slice_triples)
+@settings(max_examples=50, deadline=None)
+def test_chain_is_the_left_to_right_product(slices):
+    ts = TrifocalSlices(*slices)
+    for word in ("ta", "at", "tat", "ata"):
+        for idx in product(range(3), repeat=len(word)):
+            factors = [(ts.t if c == "t" else ts.a)[n] for c, n in zip(word, idx)]
+            expect = factors[0]
+            for f in factors[1:]:
+                expect = linalg.mat_mul(expect, f)
+            got = ts.chain(word, *idx)
+            assert _bits(got) == _bits(expect)
+            assert ts.chain(word, *idx) is got
+
+
+@given(slice_triples)
+@settings(max_examples=50, deadline=None)
+def test_block_tensor_flattenings_match_the_nested_list_reference(slices):
+    ts = TrifocalSlices(*slices)
+    flats = _flattenings(_block_tensor(ts))
+    expect = reference_flattenings(reference_block_tensor(ts))
+    assert [_bits(f) for f in flats] == [_bits(f) for f in expect]
 
 
 @st.composite

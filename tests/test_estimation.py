@@ -26,7 +26,7 @@ from mft.estimation import (
 from mft.estimation import _line_through_random, _random_point
 from mft.euclidean import MotionMode
 from mft.exterior import Multivector, index_subsets
-from mft.focal import contract, multifocal
+from mft.focal import FocalTensor, contract, multifocal
 from mft.invariants import (
     invariant_bifocal,
     invariant_quadrifocal,
@@ -192,6 +192,19 @@ def test_linear_rows_shape_and_mismatch():
     assert len(rows) == 3 and all(len(r) == 9 for r in rows)
     with pytest.raises(ValueError):
         linear_rows((2, 1, 2), cs)
+
+
+@pytest.mark.parametrize("features", [
+    [[1, 2], [1, 2, 3]],
+    [[1, 2, 3, 4], [1, 2, 3]],
+    [[1, 2, 3]],
+], ids=["short", "long", "missing"])
+def test_linear_rows_and_residuals_reject_features_of_the_wrong_length(features):
+    bad = [Correspondence((1, 1), features)]
+    with pytest.raises(ValueError):
+        linear_rows((1, 1), bad)
+    with pytest.raises(ValueError):
+        residuals(FocalTensor(4, (1, 1), range(9)), bad)
 
 
 def test_scene_determinism():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mft import linalg
 from mft.coaction import GroupElement
@@ -120,8 +122,11 @@ def test_slice_decomposition():
                 assert m[i][j][k] == -a.r[i][j] * b.u[k] + a.u[i] * b.r[k][j]
 
 
-def test_identification_round_trip():
-    rng = random.Random(7)
+@given(st.integers(0, 2**32))
+@example(7)
+@settings(max_examples=40, deadline=None)
+def test_identification_round_trip(seed):
+    rng = random.Random(seed)
     a = random_motion(mode=MotionMode.CAYLEY_RATIONAL, rng=rng)
     b = random_motion(mode=MotionMode.CAYLEY_RATIONAL, rng=rng)
     t = trifocal_euclidean(a, b)

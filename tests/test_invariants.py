@@ -4,6 +4,7 @@ import pytest
 
 from mft.focal import incidence
 from mft.invariants import (
+    Invariant,
     InvarianceViolationError,
     catalog_lookup,
     check_weight,
@@ -83,6 +84,39 @@ def test_broken_invariant_detected():
     bad = Invariant(4, (2, 2), broken, name="broken")
     with pytest.raises(InvarianceViolationError):
         check_weight(bad, trials=5)
+
+
+WEIGHT_NAMES = ["bifocal", "trifocal", "quadrifocal"] + [
+    f"wedge:{m},{p1},{m - 2 - p1}" for m in range(2, 6) for p1 in range(m - 1)
+]
+
+
+@pytest.mark.parametrize("name", WEIGHT_NAMES)
+def test_weight_is_minus_the_signature_sum_over_the_dimension(name):
+    inv = catalog_lookup(name)
+    assert check_weight(inv, trials=3) == -sum(inv.signature) // inv.dim
+
+
+@pytest.mark.parametrize("name", WEIGHT_NAMES)
+def test_weight_check_rejects_a_perturbed_coefficient(name):
+    inv = catalog_lookup(name)
+    coeffs = dict(inv.coeffs)
+    key = next(iter(coeffs))
+    coeffs[key] = 2 * coeffs[key]
+    with pytest.raises(InvarianceViolationError):
+        check_weight(Invariant(inv.dim, inv.signature, coeffs), trials=3)
+
+
+def test_weight_check_rejects_a_signature_the_dimension_does_not_divide(monkeypatch):
+    import mft.invariants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frame was drawn before the signature was checked")
+
+    monkeypatch.setattr(mft.invariants, "random_frame", refuse)
+    inv = Invariant(4, (1, 2), {((0,), (1, 2)): 1})
+    with pytest.raises(InvarianceViolationError):
+        check_weight(inv)
 
 
 def test_catalog_lookup():
