@@ -53,7 +53,7 @@ def _emit(obj):
 def _mode(args):
     name = args.mode or os.environ.get("MFT_MODE", "float")
     if name not in ("float", "rational"):
-        raise SystemExit(2)
+        raise ValueError(f"MFT_MODE must be float or rational, got {name!r}")
     return name
 
 
@@ -216,8 +216,13 @@ def cmd_invariant(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it as one error line
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mft", description="multi-focal tensor construction and checking"
     )
     parser.add_argument("--mode", choices=("float", "rational"), default=None)
@@ -266,16 +271,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except SystemExit as exc:  # --help
+        return exc.code or 0
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .euclidean import EuclideanMotion, tensor_to_identified
 from .exterior import perm_sign
 from .focal import FocalTensor
 from .linalg import adjugate
-from .scalars import TOL, div, is_zero
+from .scalars import TOL, div, is_exact, is_zero, primitive
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,8 @@ def frobenius_identity_residual(mtx):
 class TrifocalSlices:
     """The three 3x3 slice matrices of a (2,1,2) focal tensor in identified
     coordinates, with lazily computed adjugates and memoized products."""
+
+    unit = 1  # these slices stand for unit * t
 
     def __init__(self, t1, t2, t3):
         self.t = (t1, t2, t3)
@@ -195,11 +197,14 @@ class ConstraintReport:
     families: list = field(default_factory=list)
     normalized: bool = True
     flags: dict = field(default_factory=dict)
+    unit: object = 1  # positive scale of the evaluated representative
 
-    def add(self, name, residuals, tol):
+    def add(self, name, residuals, tol, degree=0):
+        """Max and mean of |residuals| times unit**degree, the family's degree."""
         vals = [abs(v) for v in residuals]
-        mx = max(vals) if vals else 0
-        mean = sum(vals) / len(vals) if vals else 0
+        s = self.unit**degree
+        mx = max(vals) * s if vals else 0
+        mean = div(sum(vals), len(vals)) * s if vals else 0
         self.families.append(Family(name, mx, mean, len(vals), is_zero(mx, tol)))
 
     @property
@@ -330,6 +335,18 @@ def _flattenings(q):
     ]
 
 
+def _integer_slices(ts: TrifocalSlices) -> TrifocalSlices:
+    """ts, or, when its entries are exact and not all int, the primitive
+    integer slices whose unit * t are the slices of ts."""
+    vals = [v for ti in ts.t for row in ti for v in row]
+    if not all(map(is_exact, vals)) or all(type(v) is int for v in vals):
+        return ts
+    ints, unit = primitive(vals)
+    out = TrifocalSlices(*([ints[k : k + 3] for k in range(n, n + 9, 3)] for n in (0, 9, 18)))
+    out.unit = ts.unit * unit
+    return out
+
+
 def rank_one_certificates(
     ts: TrifocalSlices, motions=None, tol: float = TOL
 ) -> ConstraintReport:
@@ -338,29 +355,29 @@ def rank_one_certificates(
     Intrinsic checks need no motions; when the ground-truth motion pair is
     supplied, entrywise equality with the closed forms is also verified.
     """
-    report = ConstraintReport()
-    asum = [
-        [ts.a[0][i][j] + ts.a[1][i][j] + ts.a[2][i][j] for j in range(3)]
-        for i in range(3)
-    ]
+    ts = _integer_slices(ts)
+    report = ConstraintReport(unit=ts.unit)
+    asum = [[ts.a[0][i][j] + ts.a[1][i][j] + ts.a[2][i][j] for j in range(3)] for i in range(3)]
     adj_asum = adjugate(asum)
-    report.add("adjugate-sum-rank1", _rank_one_minors(adj_asum), tol)
+    report.add("adjugate-sum-rank1", _rank_one_minors(adj_asum), tol, 8)
 
     q = _block_tensor(ts)
     res = [m for flat in _flattenings(q) for m in _rank_one_minors(flat)]
-    report.add("block-tensor-rank1", res, tol)
+    report.add("block-tensor-rank1", res, tol, 8)
 
     if motions is not None:
         a, b = motions
         u, w = list(a.u), list(b.u)
         u_bar = [-sum(a.r[i][j] * u[i] for i in range(3)) for j in range(3)]
-        w_bar = [-sum(b.r[i][j] * w[i] for i in range(3)) for j in range(3)]
+        # both closed forms are linear in w_bar; q and adj_asum have degree 4
+        s = div(1, ts.unit**4)
+        w_bar = [-sum(b.r[i][j] * w[i] for i in range(3)) * s for j in range(3)]
         coef = _dot(u_bar, w_bar)
         target = [[coef * ui * wj for wj in w] for ui in u]
-        report.add("adjugate-sum-closed-form", _mat_diff(adj_asum, target), tol)
+        report.add("adjugate-sum-closed-form", _mat_diff(adj_asum, target), tol, 4)
         res = [q[i, j, p, qq] - u[i] * w[j] * w_bar[p] * u_bar[qq]
                for i, j, p, qq in product(range(3), repeat=4)]
-        report.add("block-tensor-closed-form", res, tol)
+        report.add("block-tensor-closed-form", res, tol, 4)
     return report
 
 
@@ -383,23 +400,25 @@ def check_all(tensor: FocalTensor, tol: float = TOL) -> ConstraintReport:
     to unit max-abs entry.  Pass iff every family is within tol."""
     if tensor.signature != (2, 1, 2) or tensor.dim != 4:
         raise ValueError("check_all expects a dim-4 tensor of signature (2,1,2)")
-    report = ConstraintReport()
     mx = tensor.max_abs()
     if mx == 0:
+        report = ConstraintReport()
         report.flags["rank_deficient"] = True
-        report.add("det-cubics", [0], tol)
+        report.add("det-cubics", [0], tol, 3)
         return report
-    ts = TrifocalSlices.from_tensor(tensor.scale(div(1, mx)))
+    ts = _integer_slices(TrifocalSlices.from_tensor(
+        FocalTensor(4, (2, 1, 2), [div(v, mx) for v in tensor.values])))
+    report = ConstraintReport(unit=ts.unit)
 
     slice_ranks = [_slice_rank(ti, ai, tol) for ti, ai in zip(ts.t, ts.a)]
     if any(rk < 2 for rk in slice_ranks):
         report.flags["rank_deficient"] = True
     report.flags["slice_ranks"] = slice_ranks
 
-    report.add("det-cubics", trifocal_det_cubics(ts), tol)
+    report.add("det-cubics", trifocal_det_cubics(ts), tol, 3)
     right, left = epipolar_sextics(ts)
-    report.add("epipolar-sextics-right", right, tol)
-    report.add("epipolar-sextics-left", left, tol)
-    report.add("braid", [braid_residual(ts)], tol)
+    report.add("epipolar-sextics-right", right, tol, 6)
+    report.add("epipolar-sextics-left", left, tol, 6)
+    report.add("braid", [braid_residual(ts)], tol, 4)
     report.families.extend(rank_one_certificates(ts, tol=tol).families)
     return report

@@ -272,6 +272,6 @@ def alignment_error(estimate: FocalTensor, target: FocalTensor):
     mx = target.max_abs()
     if mx == 0:
         raise ValueError("target tensor is zero")
-    t = target.scale(div(1, mx))
+    t = FocalTensor(target.dim, target.signature, [div(v, mx) for v in target.values])
     lam = align_scale(estimate, t)
     return max(abs(lam * x - y) for x, y in zip(estimate.flat(), t.flat()))

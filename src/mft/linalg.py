@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import div, is_exact
+from .scalars import div, is_exact, primitive
 
 
 def identity(n, one=1):
@@ -128,7 +128,7 @@ def nullspace(a):
     if not a:
         return []
     ncols = len(a[0])
-    rows = [r for r in map(_primitive_row, a) if any(r)]
+    rows = [r for r, _ in map(primitive, a) if any(r)]  # same kernel
     best = None
     for p in _primes():
         pivots, images = _kernel_mod(rows, ncols, p)
@@ -148,18 +148,6 @@ def nullspace(a):
         basis = _reconstruct(lifted, modulus, best, free, ncols)
         if basis is not None and _certified(rows, free, basis):
             return basis
-
-
-def _primitive_row(row):
-    """The row times the lcm of its denominators, divided by the gcd of the
-    result: a primitive integer row with the same kernel."""
-    for x in row:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"nullspace needs int or Fraction entries, got {type(x).__name__}")
-    den = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = math.gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # exact below 3.3e24
@@ -261,8 +249,7 @@ def _certified(rows, free, basis):
     for f, v in zip(free, basis):
         if any(v[g] != (1 if g == f else 0) for g in free) or any(v[f + 1 :]):
             return False
-        den = math.lcm(*(x.denominator for x in v))
-        w = [(j, x.numerator * (den // x.denominator)) for j, x in enumerate(v) if x]
+        w = [(j, x) for j, x in enumerate(primitive(v)[0]) if x]
         if any(sum(row[j] * x for j, x in w) for row in rows):
             return False
     return True

@@ -9,6 +9,7 @@ generation, JSON serialization, zero tests and division.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 # Comparison tolerance for float-mode data normalized to unit scale.
@@ -32,6 +33,18 @@ def div(x, y):
     if is_exact(x) and is_exact(y):
         return Fraction(x) / Fraction(y)
     return x / y
+
+
+def primitive(values):
+    """(ints, unit): the primitive integer representative of exact values
+    and its positive scale, values == [unit * x for x in ints] with
+    gcd(ints) == 1.  A zero vector is its own representative, unit 1."""
+    if not all(map(is_exact, values)):
+        raise TypeError("primitive needs int or Fraction entries")
+    den = math.lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    g = math.gcd(*ints) or 1  # a zero vector has den 1
+    return ([x // g for x in ints] if g > 1 else ints), Fraction(g, den)
 
 
 def scalar_to_json(x):

@@ -5,10 +5,20 @@ exact over Fraction/int, so dimension counts are reliable.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from mft import linalg
+from mft.constraints import (
+    ConstraintReport,
+    Family,
+    TrifocalSlices,
+    _slice_rank,
+    braid_residual,
+    epipolar_sextics,
+    trifocal_det_cubics,
+)
 from mft.exterior import Multivector, index_subsets
+from mft.scalars import TOL, div, is_zero
 
 
 def span_dim(vectors):
@@ -129,3 +139,69 @@ def reference_flattenings(q):
             rows.append(row)
         flats.append(rows)
     return flats
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-lane constraint reports: every family evaluated on the slices
+# as given (check_all: on the tensor scaled by 1/max-abs), never cleared.
+
+
+def _reference_add(report, name, residuals, tol):
+    vals = [abs(v) for v in residuals]
+    mx = max(vals) if vals else 0
+    mean = sum(vals) / len(vals) if vals else 0
+    report.families.append(Family(name, mx, mean, len(vals), is_zero(mx, tol)))
+
+
+def _reference_minors(m):
+    """Every 2x2 minor of m, each as its own determinant."""
+    return [linalg.det([[m[r1][c1], m[r1][c2]], [m[r2][c1], m[r2][c2]]])
+            for r1, r2 in combinations(range(len(m)), 2)
+            for c1, c2 in combinations(range(len(m[0])), 2)]
+
+
+def reference_rank_one_certificates(ts, motions=None, tol=TOL):
+    """Reference for ``constraints.rank_one_certificates`` on ts.t itself."""
+    report = ConstraintReport()
+    asum = [[sum(a[i][j] for a in ts.a) for j in range(3)] for i in range(3)]
+    adj_asum = linalg.adjugate(asum)
+    _reference_add(report, "adjugate-sum-rank1", _reference_minors(adj_asum), tol)
+    q = reference_block_tensor(ts)
+    _reference_add(report, "block-tensor-rank1",
+                   [m for flat in reference_flattenings(q) for m in _reference_minors(flat)], tol)
+    if motions is not None:
+        a, b = motions
+        u, w = list(a.u), list(b.u)
+        u_bar = [-sum(a.r[i][j] * u[i] for i in range(3)) for j in range(3)]
+        w_bar = [-sum(b.r[i][j] * w[i] for i in range(3)) for j in range(3)]
+        coef = sum(x * y for x, y in zip(u_bar, w_bar))
+        _reference_add(report, "adjugate-sum-closed-form",
+                       [adj_asum[i][j] - coef * u[i] * w[j]
+                        for i, j in product(range(3), repeat=2)], tol)
+        _reference_add(report, "block-tensor-closed-form",
+                       [q[i][j][p][qq] - u[i] * w[j] * w_bar[p] * u_bar[qq]
+                        for i, j, p, qq in product(range(3), repeat=4)], tol)
+    return report
+
+
+def reference_check_all(tensor, tol=TOL):
+    """Reference for ``constraints.check_all``: the families on
+    tensor.scale(1 / max-abs)."""
+    report = ConstraintReport()
+    mx = tensor.max_abs()
+    if mx == 0:
+        report.flags["rank_deficient"] = True
+        _reference_add(report, "det-cubics", [0], tol)
+        return report
+    ts = TrifocalSlices.from_tensor(tensor.scale(div(1, mx)))
+    slice_ranks = [_slice_rank(ti, ai, tol) for ti, ai in zip(ts.t, ts.a)]
+    if any(rk < 2 for rk in slice_ranks):
+        report.flags["rank_deficient"] = True
+    report.flags["slice_ranks"] = slice_ranks
+    _reference_add(report, "det-cubics", trifocal_det_cubics(ts), tol)
+    right, left = epipolar_sextics(ts)
+    _reference_add(report, "epipolar-sextics-right", right, tol)
+    _reference_add(report, "epipolar-sextics-left", left, tol)
+    _reference_add(report, "braid", [braid_residual(ts)], tol)
+    report.families.extend(reference_rank_one_certificates(ts, tol=tol).families)
+    return report

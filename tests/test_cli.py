@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mft.cli import main
@@ -142,6 +144,41 @@ def test_env_mode(monkeypatch, capsys):
     code, obj = run(capsys, "gen-scene", "--seed", "4")
     assert code == 0
     assert obj["mode"] == "rational"
+
+
+@pytest.mark.parametrize("command", ["estimate", "gen-scene"])
+def test_unknown_env_mode_is_one_error_line(monkeypatch, capsys, command):
+    monkeypatch.setenv("MFT_MODE", "bogus")
+    assert _exits_2_with_one_line(capsys, [command]) == (
+        "error: MFT_MODE must be float or rational, got 'bogus'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--tol", "x", "t.json"],
+     "error: mft check: argument --tol: invalid float value: 'x'\n"),
+    (["check"], "error: mft check: the following arguments are required: tensor\n"),
+    (["--mode", "exact", "estimate"],
+     "error: mft: argument --mode: invalid choice: 'exact' (choose from 'float', 'rational')\n"),
+    ([], "error: mft: the following arguments are required: command\n"),
+], ids=["bad-float", "missing-positional", "bad-choice", "no-command"])
+def test_usage_errors_are_one_error_line(capsys, argv, message):
+    assert _exits_2_with_one_line(capsys, argv) == message
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("tensor", {}, "error: missing key 'frames'\n"),
+    ("check", {"tensor": {"dim": 4, "signature": [2, 1, 2]}}, "error: missing key 'data'\n"),
+])
+def test_a_missing_key_is_named(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert _exits_2_with_one_line(capsys, [command, str(path)]) == message
+
+
+def test_help_exits_0(capsys):
+    assert main(["check", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: mft check") and captured.err == ""
 
 
 def _rational_trifocal_json(capsys, tmp_path):
@@ -362,8 +399,32 @@ tol_values = _mostly(st.none(), st.one_of(st.sampled_from(["0", "inf", "-inf", "
                                           st.floats().map(repr)))
 
 
+def _ends_in_an_answer_or_one_error_line(argv, mode=None):
+    """Run main on argv with MFT_MODE set to mode (unset for None): exit 0
+    or 1 with mft/1 JSON and no stderr, or exit 2 with exactly one stderr
+    line, an error: line, and no stdout; within 10 s."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        os.environ.pop("MFT_MODE", None)
+        if mode is not None:
+            os.environ["MFT_MODE"] = mode
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 10
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert out.getvalue() == ""
+    else:
+        assert json.loads(out.getvalue())["schema"] == "mft/1"
+        assert err.getvalue() == ""
+
+
 @given(st.one_of(st.tuples(st.just("check"), check_inputs, tol_values),
                  st.tuples(st.just("tensor"), scene_inputs, st.none())))
+@example(("check", {}, "x"))  # argparse's own usage error
 @settings(max_examples=200, deadline=None)
 def test_check_and_tensor_end_in_an_answer_or_one_error_line(case):
     command, doc, tol = case
@@ -372,14 +433,45 @@ def test_check_and_tensor_end_in_an_answer_or_one_error_line(case):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         argv = [command, path] + ([] if tol is None else [f"--tol={tol}"])
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert time.perf_counter() - start < 10
-    assert code in (0, 1, 2)
-    if code == 2:
-        lines = err.getvalue().splitlines()
-        assert len([ln for ln in lines if "error:" in ln]) == 1, lines
-    else:
-        assert json.loads(out.getvalue())["schema"] == "mft/1"
+        _ends_in_an_answer_or_one_error_line(argv)
+
+
+SUBCOMMANDS = ["gen-scene", "tensor", "check", "estimate", "verify-identities", "verify-cartan",
+               "invariant"]
+# small values only, so that every accepted argv runs in well under a second
+small = st.sampled_from(["-1", "0", "1", "2", "3", "4", "x"])
+option = st.one_of(
+    st.tuples(st.sampled_from(["--views", "--seed", "--count", "--trials"]), small),
+    st.tuples(st.just("--tol"), st.sampled_from(["0", "1e-3", "inf", "x"])),
+    st.tuples(st.sampled_from(["--verbose", "--weight"])),
+    st.tuples(st.just("--invariant"), st.sampled_from(["trifocal", "wedge:5,1,2", "bogus"])))
+# the positional argument each subcommand takes, or none
+POSITIONALS = {"tensor": ["SCENE", "TENSOR", "/nonexistent.json"],
+               "check": ["TENSOR", "SCENE", "/nonexistent.json"],
+               "invariant": ["trifocal", "bifocal", "wedge:5,1,2", "bogus"]}
+argvs = st.tuples(
+    st.sampled_from([[], ["--mode", "float"], ["--mode", "rational"], ["--mode", "x"]]),
+    st.sampled_from(SUBCOMMANDS).flatmap(lambda cmd: st.tuples(
+        st.just([cmd]), st.lists(st.sampled_from(POSITIONALS.get(cmd, ["x"])), max_size=1))),
+    st.lists(option, max_size=3).map(lambda opts: [a for opt in opts for a in opt]),
+    _mostly(st.just([]), st.lists(st.sampled_from(SUBCOMMANDS + ["-x", "3", "--mode"]),
+                                  min_size=1, max_size=2)),
+).map(lambda parts: parts[0] + parts[1][0] + parts[1][1] + parts[2] + parts[3])
+env_modes = _mostly(st.sampled_from([None, "float", "rational"]),
+                    st.text(alphabet="abflortin-", max_size=8))
+
+
+@given(argvs, env_modes)
+@settings(max_examples=150, deadline=None)
+def test_any_argv_and_env_mode_end_in_an_answer_or_one_error_line(argv, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"SCENE": f"{tmp}/scene.json", "TENSOR": f"{tmp}/tensor.json"}
+        frames = [[[int(i == j) + (i == 0 and j == k) for j in range(4)] for i in range(4)]
+                  for k in range(1, 4)]
+        with open(files["SCENE"], "w") as fh:
+            json.dump({"frames": frames}, fh)
+        with open(files["TENSOR"], "w") as fh:
+            json.dump({"dim": 4, "signature": [2, 1, 2],
+                       "data": [[[i + j - k for k in range(3)] for j in range(3)] for i in range(3)]},
+                      fh)
+        _ends_in_an_answer_or_one_error_line([files.get(a, a) for a in argv], mode)

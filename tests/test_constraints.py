@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -32,7 +33,12 @@ from mft.euclidean import (
     trifocal_euclidean,
 )
 from mft.focal import FocalTensor
-from oracles import reference_block_tensor, reference_flattenings
+from oracles import (
+    reference_block_tensor,
+    reference_check_all,
+    reference_flattenings,
+    reference_rank_one_certificates,
+)
 
 
 def random_rational_matrix(rng, lo=-9, hi=9):
@@ -268,3 +274,70 @@ def test_float_mode_residuals_small():
         b = random_motion(mode=MotionMode.FLOAT_HAAR, rng=rng)
         rep = check_all(trifocal_euclidean(a, b))
         assert rep.passed, rep.to_json()
+
+
+def _perturbed(t, cell):
+    """t with one cell moved by 1/1000 of its max-abs entry."""
+    values = list(t.values)
+    values[cell] += t.max_abs() / 1000
+    return FocalTensor(4, (2, 1, 2), values)
+
+
+def _dumps(report):
+    return json.dumps(report.to_json())
+
+
+scalings = st.one_of(st.sampled_from([Fraction(1), Fraction(-1), Fraction(-3, 7), Fraction(5, 2)]),
+                     st.fractions(max_denominator=10**4).filter(lambda lam: lam != 0))
+
+
+@given(st.integers(0, 2**32), st.sampled_from(["random", "true", "perturbed"]), scalings)
+@settings(max_examples=30, deadline=None)
+def test_integer_lane_check_all_json_is_the_fraction_lane_json(seed, kind, lam):
+    rng = random.Random(seed)
+    if kind == "random":
+        t = FocalTensor(4, (2, 1, 2), [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                       for _ in range(27)])
+    else:
+        t = trifocal_euclidean(*rational_pair(rng))
+        if kind == "perturbed":
+            t = _perturbed(t, rng.randrange(27))
+    t = t.scale(lam)
+    assert _dumps(check_all(t)) == _dumps(reference_check_all(t))
+
+
+@given(st.integers(0, 2**32), st.booleans(), scalings)
+@settings(max_examples=20, deadline=None)
+def test_integer_lane_rank_one_json_is_the_fraction_lane_json(seed, perturb, lam):
+    rng = random.Random(seed)
+    a, b = rational_pair(rng)
+    t = trifocal_euclidean(a, b)
+    if perturb:
+        t = _perturbed(t, rng.randrange(27))
+    ts = TrifocalSlices.from_tensor(t.scale(lam))
+    assert (_dumps(rank_one_certificates(ts, motions=(a, b)))
+            == _dumps(reference_rank_one_certificates(ts, motions=(a, b))))
+
+
+def test_mixed_exact_and_float_max_abs_tie_matches_the_fraction_lane():
+    # an exact 7 and a float -7.0 tie for the max-abs; either may scale
+    for seed in range(30):
+        rng = random.Random(seed)
+        values = [rng.randint(-6, 6) for _ in range(27)]
+        i, j = rng.sample(range(27), 2)
+        values[i], values[j] = 7, -7.0
+        t = FocalTensor(4, (2, 1, 2), values)
+        got, ref = check_all(t).to_json(), reference_check_all(t).to_json()
+        assert got["pass"] == ref["pass"] and got["flags"] == ref["flags"]
+        for f, g in zip(got["families"], ref["families"]):
+            assert f["pass"] == g["pass"] and f["count"] == g["count"]
+            assert abs(f["max"] - g["max"]) <= 1e-9 and abs(f["mean"] - g["mean"]) <= 1e-9
+
+
+def test_check_all_on_a_subnormal_max_abs_is_the_unit_report():
+    def report(cell):
+        return check_all(FocalTensor(4, (2, 1, 2), [cell] + [0.0] * 26)).to_json()
+
+    assert report(5e-324) == report(1e-300) == report(1.0)
+    assert report(5e-324)["flags"]["slice_ranks"] == [1, 0, 0]
+    json.dumps(report(5e-324), allow_nan=False)

@@ -276,3 +276,9 @@ def test_generated_lines_are_the_wedge_with_the_drawn_point(exact, seed):
     assume(not wedge.is_zero())  # else the generator draws another q
     rng.setstate(state)
     assert _line_through_random(p, rng, exact) == plain(wedge)
+
+
+@pytest.mark.parametrize("cell", [5e-324, 1e-300, 1.0])
+def test_alignment_error_on_a_subnormal_max_abs_target(cell):
+    estimate = FocalTensor(4, (2, 1, 2), [1.0] + [0.0] * 26)
+    assert alignment_error(estimate, FocalTensor(4, (2, 1, 2), [cell] + [0.0] * 26)) == 0.0
