@@ -8,6 +8,7 @@ error.  Scalar mode comes from --mode or the MFT_MODE environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -221,6 +222,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache  # main may run many times in one process
 def build_parser():
     parser = _Parser(
         prog="mft", description="multi-focal tensor construction and checking"
@@ -231,41 +233,34 @@ def build_parser():
     p = sub.add_parser("gen-scene", help="sample a random Euclidean scene")
     p.add_argument("--views", type=int, default=3, choices=(2, 3, 4))
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen_scene)
 
     p = sub.add_parser("tensor", help="build a focal tensor from a scene file")
     p.add_argument("scene", help="JSON scene file from gen-scene")
     p.add_argument("--invariant", default=None)
-    p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("check", help="run the constraint corpus on a tensor file")
     p.add_argument("tensor", help="JSON tensor file")
     p.add_argument("--tol", type=float, default=TOL, help="finite, >= 0")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("estimate", help="round-trip: scene, correspondences, recovery")
     p.add_argument("--views", type=int, default=3, choices=(2, 3, 4))
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("verify-identities", help="slice identity suite on random motions")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=TOL, help="finite, >= 0")
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("verify-cartan", help="check the differential pair identity")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify_cartan)
 
     p = sub.add_parser("invariant", help="dump a cataloged invariant")
     p.add_argument("name", help=f"bifocal|trifocal|quadrifocal|wedge:m,p1,p2, m <= {WEDGE_MAX_DIM}")
     p.add_argument("--weight", action="store_true", help="also measure the det power")
     p.add_argument("--trials", type=int, default=10,
                    help=f"random frames for --weight, 1 to {MAX_WEIGHT_TRIALS}")
-    p.set_defaults(func=cmd_invariant)
 
     return parser
 
@@ -273,7 +268,9 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up by name at each call, so a rebound cmd_* (perfbench's
+        # tracer rebinds them) runs although the parser is built once
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # --help
         return exc.code or 0
     except KeyError as exc:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .exterior import Multivector, index_subsets, minor
-from .scalars import scalar_from_json, scalar_to_json
+from .scalars import is_exact, primitive, scalar_from_json, scalar_to_json
 
 
 class SingularMatrixError(ValueError):
@@ -100,6 +100,16 @@ def random_frame(m: int, rng) -> GroupElement:
             return GroupElement(entries)
         except SingularMatrixError:
             continue
+
+
+def _primitive_frame(g: GroupElement):
+    """(rows, unit) with g.entries == unit * rows: the primitive integer frame
+    when every entry is exact, else the entries themselves and unit 1."""
+    flat = [x for row in g.entries for x in row]
+    if not all(map(is_exact, flat)):
+        return g.entries, 1
+    ints, unit = primitive(flat)
+    return [ints[i : i + g.dim] for i in range(0, len(ints), g.dim)], unit
 
 
 def compound_matrix(g, p: int):

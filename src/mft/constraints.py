@@ -397,15 +397,13 @@ def _slice_rank(t, a, tol):
 
 def check_all(tensor: FocalTensor, tol: float = TOL) -> ConstraintReport:
     """All intrinsic constraint families on a (2,1,2) tensor, after scaling
-    to unit max-abs entry.  Pass iff every family is within tol."""
+    to unit max-abs entry.  Pass iff every family is within tol.  The zero
+    tensor is no projective point and raises ValueError."""
     if tensor.signature != (2, 1, 2) or tensor.dim != 4:
         raise ValueError("check_all expects a dim-4 tensor of signature (2,1,2)")
     mx = tensor.max_abs()
     if mx == 0:
-        report = ConstraintReport()
-        report.flags["rank_deficient"] = True
-        report.add("det-cubics", [0], tol, 3)
-        return report
+        raise ValueError("the zero tensor is not a point of projective space")
     ts = _integer_slices(TrifocalSlices.from_tensor(
         FocalTensor(4, (2, 1, 2), [div(v, mx) for v in tensor.values])))
     report = ConstraintReport(unit=ts.unit)

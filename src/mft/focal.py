@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import enum
 import math
+from fractions import Fraction
 from itertools import product
 
-from .coaction import GroupElement, act, compound_action, psi
+from .coaction import GroupElement, _primitive_frame, act, compound_action, psi
 from .exterior import DimensionMismatchError, Multivector, index_subsets
 from .invariants import Invariant
-from .scalars import TOL, is_zero, scalar_from_json, scalar_to_json
+from .scalars import TOL, is_exact, is_zero, scalar_from_json, scalar_to_json
 
 
 class FocalTensor:
@@ -37,11 +38,6 @@ class FocalTensor:
         self.values = list(values)
         if len(self.values) != math.prod(shape):
             raise ValueError(f"{len(self.values)} values do not fill axes {shape}")
-
-    @classmethod
-    def zeros(cls, dim: int, signature):
-        size = math.prod(len(index_subsets(dim, p, start=1)) for p in signature)
-        return cls(dim, signature, [0] * size)
 
     def _offset(self, subsets):
         return sum(s * pos[tuple(J)] for s, pos, J in zip(self._strides, self._positions, subsets))
@@ -126,7 +122,13 @@ class Section(enum.Enum):
 
 
 def multifocal(I: Invariant, frames) -> FocalTensor:
-    """Contract the tensor product of psi(g_i, p_i) against I."""
+    """Contract the tensor product of psi(g_i, p_i) against I.
+
+    As psi_p(u G) = u^(p+1) psi_p(G), exact frames g_i = u_i G_i run as their
+    primitive integer frames G_i, each produced sum times prod u_i^(p_i+1),
+    when some frame has at most p_i rows that hold a non-Fraction entry: each
+    of its minors then meets a row of Fractions, so every cell is a Fraction
+    on either path, as it is for the frames as given."""
     frames = list(frames)
     if len(frames) != I.arity():
         raise ValueError(
@@ -134,8 +136,17 @@ def multifocal(I: Invariant, frames) -> FocalTensor:
         )
     if any(g.dim != I.dim for g in frames):
         raise DimensionMismatchError("frame dimension differs from invariant")
+    scale = 1
+    entries = [x for g in frames for row in g.entries for x in row]
+    if all(map(is_exact, [*I.coeffs.values(), *entries])) and any(
+            sum(any(type(x) is not Fraction for x in row) for row in g.entries) <= p
+            for g, p in zip(frames, I.degrees)):
+        cleared = [_primitive_frame(g) for g in frames]
+        frames = [GroupElement(rows) for rows, _ in cleared]
+        scale = math.prod(u ** (p + 1) for (_, u), p in zip(cleared, I.degrees))
     psis = [psi(g, p) for g, p in zip(frames, I.degrees)]
     sums = act(I.coeffs, [(ps.rows, ps.cols, ps.entries) for ps in psis])
+    sums = {key: v * scale for key, v in sums.items()}  # * 1 keeps value and type
     cells = product(*(ps.cols for ps in psis))  # row-major, as FocalTensor stores them
     return FocalTensor(I.dim, I.degrees, [sums.get(key, 0) for key in cells])
 

@@ -9,7 +9,6 @@ multiplicity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .scalars import TOL, is_zero
@@ -157,10 +156,10 @@ def cartan_apply(f: PolyForm) -> PolyForm:
 
 
 def random_form(dim: int, p: int, q: int, rng) -> PolyForm:
-    """Random form of bidegree (p, q): an integer coefficient in [-4, 4], as
-    a Fraction, drawn per basis element in lexicographic key order."""
+    """Random form of bidegree (p, q): an int coefficient in [-4, 4], drawn
+    per basis element in lexicographic key order."""
     return PolyForm(dim, p, q, {
-        (anti, sym): Fraction(rng.randint(-4, 4))
+        (anti, sym): rng.randint(-4, 4)
         for anti in combinations(range(dim), p)
         for sym in combinations_with_replacement(range(dim), q)
     })

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from mft import linalg
+from mft.coaction import act, psi
 from mft.constraints import (
     ConstraintReport,
     Family,
@@ -17,7 +18,9 @@ from mft.constraints import (
     epipolar_sextics,
     trifocal_det_cubics,
 )
-from mft.exterior import Multivector, index_subsets
+from mft.exterior import Multivector, index_subsets, minor
+from mft.focal import FocalTensor
+from mft.invariants import Invariant
 from mft.scalars import TOL, div, is_zero
 
 
@@ -186,13 +189,11 @@ def reference_rank_one_certificates(ts, motions=None, tol=TOL):
 
 def reference_check_all(tensor, tol=TOL):
     """Reference for ``constraints.check_all``: the families on
-    tensor.scale(1 / max-abs)."""
+    tensor.scale(1 / max-abs); the zero tensor is no projective point."""
     report = ConstraintReport()
     mx = tensor.max_abs()
     if mx == 0:
-        report.flags["rank_deficient"] = True
-        _reference_add(report, "det-cubics", [0], tol)
-        return report
+        raise ValueError("the zero tensor is not a point of projective space")
     ts = TrifocalSlices.from_tensor(tensor.scale(div(1, mx)))
     slice_ranks = [_slice_rank(ti, ai, tol) for ti, ai in zip(ts.t, ts.a)]
     if any(rk < 2 for rk in slice_ranks):
@@ -205,3 +206,27 @@ def reference_check_all(tensor, tol=TOL):
     _reference_add(report, "braid", [braid_residual(ts)], tol)
     report.families.extend(reference_rank_one_certificates(ts, tol=tol).families)
     return report
+
+
+# ---------------------------------------------------------------------------
+# The construction lane on the frames as given: transform on the minors of
+# g.inverse() and multifocal on psi of each frame, never cleared.
+
+
+def reference_transform(g, inv):
+    """Reference for ``invariants.transform``: ``act`` on the compound minors
+    of g.inverse(), one matrix per factor."""
+    ginv = g.inverse()
+    subsets = {s: index_subsets(inv.dim, s) for s in inv.signature}
+    minors = {s: (S, S, [[minor(ginv, R, C) for C in S] for R in S]) for s, S in subsets.items()}
+    coeffs = act(inv.coeffs, [minors[s] for s in inv.signature])
+    return Invariant(inv.dim, inv.signature, coeffs, name=inv.name)
+
+
+def reference_multifocal(inv, frames):
+    """Reference for ``focal.multifocal``: ``act`` on psi of each frame as
+    given, cells that no term reaches left as the int 0."""
+    psis = [psi(g, p) for g, p in zip(frames, inv.degrees)]
+    sums = act(inv.coeffs, [(ps.rows, ps.cols, ps.entries) for ps in psis])
+    cells = product(*(ps.cols for ps in psis))
+    return FocalTensor(inv.dim, inv.degrees, [sums.get(key, 0) for key in cells])

@@ -181,6 +181,42 @@ def test_help_exits_0(capsys):
     assert captured.out.startswith("usage: mft check") and captured.err == ""
 
 
+def test_one_parser_serves_repeated_mains_alike(tmp_path, capsys):
+    from mft.cli import build_parser
+
+    assert build_parser() is build_parser()
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps({"dim": 4, "signature": [2, 1, 2],
+                                "data": [[[i + j - k for k in range(3)] for j in range(3)]
+                                         for i in range(3)]}))
+    calls = [["check", "--help"], ["--help"], ["check", "--tol", "x", str(path)], ["check"],
+             ["check", "--tol", "0.5", str(path)], ["check", str(path)], ["gen-scene"]]
+    first = []
+    for argv in calls:
+        code = main(argv)
+        first.append((code, capsys.readouterr()))
+    for argv, seen in zip(calls * 2, first * 2):  # again, each after the others
+        code = main(argv)
+        assert (code, capsys.readouterr()) == seen
+
+
+def test_a_rebound_command_runs_after_the_parser_is_built(monkeypatch):
+    import mft.cli
+
+    assert main(["--help"]) == 0  # builds the parser
+    monkeypatch.setattr(mft.cli, "cmd_verify_cartan", lambda args: 7)
+    assert main(["verify-cartan"]) == 7
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("zero", [0, 0.0, "0/1"])
+def test_check_on_the_zero_tensor_is_one_error_line(tmp_path, capsys, mode, zero):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": 4, "signature": [2, 1, 2], "data": [[[zero] * 3] * 3] * 3}))
+    assert _exits_2_with_one_line(capsys, ["--mode", mode, "check", str(path)]) == (
+        "error: the zero tensor is not a point of projective space\n")
+
+
 def _rational_trifocal_json(capsys, tmp_path):
     _, scene = run(capsys, "--mode", "rational", "gen-scene", "--views", "3", "--seed", "5")
     scene_path = tmp_path / "scene.json"

@@ -166,7 +166,7 @@ def test_slice_rank_from_the_adjugate_is_the_rank(t):
 @settings(max_examples=50, deadline=None)
 def test_check_all_reports_the_slice_ranks(slices):
     # the tensor whose identified slices are these
-    t = FocalTensor.zeros(4, (2, 1, 2))
+    t = FocalTensor(4, (2, 1, 2), [0] * 27)
     for J1, (i, s1) in VECTOR_OF_LAMBDA2.items():
         for j in range(3):
             for J3, (k, s3) in VECTOR_OF_LAMBDA2.items():
@@ -249,11 +249,19 @@ def test_check_all_flags_rank_deficiency():
     assert rep.flags.get("rank_deficient") is True
 
 
+@pytest.mark.parametrize("zero", [0, 0.0, Fraction(0)])
+def test_check_all_rejects_the_zero_tensor(zero):
+    t = FocalTensor(4, (2, 1, 2), [zero] * 27)
+    for check in (check_all, reference_check_all):
+        with pytest.raises(ValueError, match="zero tensor is not a point of projective space"):
+            check(t)
+
+
 def test_check_all_signature_guard():
     from mft.focal import FocalTensor
 
     with pytest.raises(ValueError):
-        check_all(FocalTensor.zeros(4, (1, 1)))
+        check_all(FocalTensor(4, (1, 1), [0] * 9))
 
 
 def test_report_json_shape():

@@ -64,3 +64,12 @@ def test_arithmetic_validates_bidegree():
         PolyForm.term(3, (0,), ()) + PolyForm.term(3, (1,), (0,))
     with pytest.raises(ValueError):
         PolyForm.term(3, (1, 0), ())
+
+
+def test_random_form_draws_one_int_per_basis_element_in_key_order():
+    f = random_form(3, 1, 2, random.Random(5))
+    rng = random.Random(5)
+    draws = [rng.randint(-4, 4) for _ in range(3 * 6)]  # 3 one-forms times 6 quadrics
+    assert sorted(f.coeffs) == list(f.coeffs)
+    assert list(f.coeffs.values()) == [c for c in draws if c != 0]
+    assert {type(c) for c in f.coeffs.values()} == {int}
