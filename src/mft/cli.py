@@ -43,6 +43,7 @@ _VIEWS = {
     4: ("quadrifocal", (2, 2, 2, 2), correspondences_quadrifocal, 80),
 }
 MAX_WEIGHT_TRIALS = 10  # with WEDGE_MAX_DIM, bounds the slowest `mft invariant --weight`
+MAX_COUNT = 5000  # `mft --mode rational estimate --views 4 --count 5000` takes 3.3-4.6 s
 
 
 def _emit(obj):
@@ -137,6 +138,8 @@ def cmd_estimate(args):
         raise ValueError(f"--count must be at least 1, got {count}")
     if count < least:
         raise ValueError(f"--count must be at least {least} for {args.views} views, got {count}")
+    if count > MAX_COUNT:
+        raise ValueError(f"--count must be at most {MAX_COUNT}, got {count}")
     rng = random.Random(args.seed)
     scene = random_scene(
         args.views, SceneKind.EUCLIDEAN, rng=rng, mode=_motion_mode(mode)
@@ -244,7 +247,7 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="round-trip: scene, correspondences, recovery")
     p.add_argument("--views", type=int, default=3, choices=(2, 3, 4))
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=int, help=f"matches, the least for --views to {MAX_COUNT}")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify-identities", help="slice identity suite on random motions")

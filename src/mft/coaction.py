@@ -51,9 +51,9 @@ class GroupElement:
         return self._det
 
     def inverse(self) -> "GroupElement":
-        """g^-1, computed on the first call and kept: a frame is immutable,
-        and recovery projects every feature through the inverse of its view.
-        The inverse does not point back at its frame, so no cycle is made."""
+        """g^-1, computed on the first call and kept: a frame is immutable, and
+        float recovery projects every feature through its view's inverse.  The
+        inverse does not point back at its frame, so no cycle is made."""
         if self._inverse is None:
             self._inverse = GroupElement(linalg.inverse(self.entries))
         return self._inverse

@@ -10,18 +10,20 @@ enough of them the tensor spans the nullspace of the stacked system.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .coaction import GroupElement, compound_action, random_frame
+from .coaction import GroupElement, _primitive_frame, compound_action, random_frame
 from .euclidean import MotionMode, embed, random_motion
 from .exterior import Multivector
 from .focal import FocalTensor
-from .scalars import div, is_exact, is_zero
+from .scalars import div, is_exact, is_zero, primitive
 
 
 class DegenerateProjectionError(ValueError):
@@ -66,14 +68,27 @@ def random_scene(
     mode: MotionMode = MotionMode.FLOAT_HAAR,
     rng=None,
 ) -> Scene:
+    """Random frames for n views.  A view whose centre, its first column up
+    to scale, is an earlier view's (for Euclidean scenes, an equal
+    translation) is drawn again: it would leave no one-dimensional kernel."""
+    if kind not in (SceneKind.EUCLIDEAN, SceneKind.GENERAL):
+        raise ValueError(f"unknown scene kind {kind!r}")
     if rng is None:
         rng = random.Random(seed)
-    if kind is SceneKind.EUCLIDEAN:
-        motions = [random_motion(mode=mode, rng=rng) for _ in range(n_views)]
-        return Scene([embed(mo) for mo in motions], motions=motions, kind=kind)
-    if kind is SceneKind.GENERAL:
-        return Scene([random_frame(4, rng) for _ in range(n_views)], kind=kind)
-    raise ValueError(f"unknown scene kind {kind!r}")
+    euclidean = kind is SceneKind.EUCLIDEAN
+    drawn, frames = [], []
+    while len(frames) < n_views:
+        d = random_motion(mode=mode, rng=rng) if euclidean else random_frame(4, rng)
+        g = embed(d) if euclidean else d
+        if not any(_proportional(g.basepoint(), f.basepoint()) for f in frames):
+            drawn.append(d)
+            frames.append(g)
+    return Scene(frames, motions=drawn if euclidean else None, kind=kind)
+
+
+def _proportional(a, b):
+    """True when the vectors a and b are equal up to scale: all 2x2 minors vanish."""
+    return all(a[i] * b[j] == a[j] * b[i] for i, j in itertools.combinations(range(len(a)), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +99,25 @@ def project_point(g: GroupElement, X):
     """Image coordinates of the ambient point X in the view with frame g:
     components 1..3 of g^-1 X, valid when component 0 is nonzero and they
     are not all zero (X is not the view's centre)."""
-    y = g.inverse().apply(X)
+    return _image(g.inverse().apply(X))
+
+
+def _image(y):
+    """Components 1..3 of a point y moved into a view's frame, or
+    DegenerateProjectionError when component 0 or all of them vanish."""
     if is_zero(y[0], 1e-12):
         raise DegenerateProjectionError("point projects into the base locus")
     if not any(y[1:]):
         raise DegenerateProjectionError("point is the centre of the view")
     return y[1:]
+
+
+def _integer_projector(g: GroupElement):
+    """sign(det G) adj(G) for the primitive integer frame G of the exact
+    frame g: a positive multiple of g^-1 with int entries, by no division."""
+    G, _unit = _primitive_frame(g)
+    adj = linalg.adjugate(G)
+    return adj if g.det() > 0 else [[-x for x in row] for row in adj]
 
 
 def project_line(g: GroupElement, L: Multivector) -> Multivector:
@@ -112,13 +140,18 @@ def _random_point(rng, exact, n):
     return [rng.gauss(0, 1) for _ in range(n)]
 
 
-def _projected_features(scene, rng, exact, bound=100):
+def _projected_features(views, rng, exact, bound=100):
     """Project a common random ambient point into every view; resample on
-    degenerate projections."""
+    degenerate projections.  Exact views are ``_integer_projector`` matrices
+    and take the point cleared to a primitive integer vector, so each image
+    is an int positive multiple of what ``project_point`` gives."""
     for _attempt in range(bound):
         X = _random_point(rng, exact, 4)
         try:
-            return [project_point(g, X) for g in scene.frames]
+            if not exact:
+                return [project_point(g, X) for g in views]
+            X = primitive(X)[0]
+            return [_image([sum(map(operator.mul, row, X)) for row in P]) for P in views]
         except DegenerateProjectionError:
             continue
     raise RuntimeError("could not sample a nondegenerate ambient point")
@@ -151,24 +184,28 @@ def correspondences_quadrifocal(scene: Scene, count: int, seed=None, rng=None):
 
 
 def _generate(scene, count, degrees, seed, rng):
+    """``count`` correspondences of the given degrees.  Exact features are
+    cleared to primitive integer vectors, and a correspondence whose features
+    all equal an earlier one's up to sign is drawn again: it repeats a row."""
     if len(scene.frames) != len(degrees):
         raise ValueError(f"scene has {len(scene.frames)} views, need {len(degrees)}")
+    if not set(degrees) <= {1, 2}:
+        raise ValueError(f"unsupported feature degrees {degrees}")
     if rng is None:
         rng = random.Random(seed)
-    exact = all(
-        is_exact(x) for g in scene.frames for row in g.entries for x in row
-    )
-    out = []
-    for _ in range(count):
-        points = _projected_features(scene, rng, exact)
-        features = []
-        for p, d in zip(points, degrees):
-            if d == 1:
-                features.append(p)
-            elif d == 2:
-                features.append(_line_through_random(p, rng, exact))
-            else:
-                raise ValueError(f"unsupported feature degree {d}")
+    exact = all(is_exact(x) for g in scene.frames for row in g.entries for x in row)
+    views = [_integer_projector(g) for g in scene.frames] if exact else scene.frames
+    out, seen = [], set()
+    while len(out) < count:
+        points = _projected_features(views, rng, exact)
+        features = [p if d == 1 else _line_through_random(p, rng, exact)
+                    for p, d in zip(points, degrees)]
+        if exact:
+            features = [primitive(f)[0] for f in features]
+            key = tuple(max(tuple(f), tuple(-x for x in f)) for f in features)
+            if key in seen:
+                continue
+            seen.add(key)
         out.append(Correspondence(degrees, features))
     return out
 
@@ -256,22 +293,15 @@ def estimate_tensor(signature, correspondences, tol: float = 1e-7):
     return FocalTensor.from_flat(4, signature, vec), rank
 
 
-def align_scale(estimate: FocalTensor, target: FocalTensor):
-    """Least-squares scalar lambda minimizing |lambda e - t|."""
-    e = estimate.flat()
-    t = target.flat()
-    denom = sum(x * x for x in e)
-    if denom == 0:
-        raise ValueError("cannot align a zero estimate")
-    return div(sum(x * y for x, y in zip(e, t)), denom)
-
-
 def alignment_error(estimate: FocalTensor, target: FocalTensor):
-    """Max-abs entry of lambda e - t at the optimal lambda, after scaling
-    the target to unit max-abs."""
+    """Max-abs entry of lambda e - t after scaling the target t to unit
+    max-abs, at the least-squares lambda minimizing |lambda e - t|."""
     mx = target.max_abs()
     if mx == 0:
         raise ValueError("target tensor is zero")
-    t = FocalTensor(target.dim, target.signature, [div(v, mx) for v in target.values])
-    lam = align_scale(estimate, t)
-    return max(abs(lam * x - y) for x, y in zip(estimate.flat(), t.flat()))
+    e, t = estimate.values, [div(v, mx) for v in target.values]
+    denom = sum(x * x for x in e)
+    if denom == 0:
+        raise ValueError("cannot align a zero estimate")
+    lam = div(sum(x * y for x, y in zip(e, t)), denom)
+    return max(abs(lam * x - y) for x, y in zip(e, t))

@@ -9,6 +9,13 @@ from itertools import combinations, product
 
 from mft import linalg
 from mft.coaction import act, psi
+from mft.estimation import (
+    Correspondence,
+    DegenerateProjectionError,
+    _line_through_random,
+    _random_point,
+    project_point,
+)
 from mft.constraints import (
     ConstraintReport,
     Family,
@@ -230,3 +237,32 @@ def reference_multifocal(inv, frames):
     sums = act(inv.coeffs, [(ps.rows, ps.cols, ps.entries) for ps in psis])
     cells = product(*(ps.cols for ps in psis))
     return FocalTensor(inv.dim, inv.degrees, [sums.get(key, 0) for key in cells])
+
+
+# ---------------------------------------------------------------------------
+# The recovery lane on Fraction features: every point through project_point.
+
+
+def reference_correspondences(scene, count, degrees, rng):
+    """Reference for the correspondence generators on an exact scene: the
+    same rng draws, each ambient point projected by ``project_point`` and
+    each line the wedge of that image with a random point, never cleared.
+    A correspondence whose features all span the same lines as an earlier
+    one's is drawn again."""
+    out = []
+    while len(out) < count:
+        for _attempt in range(100):
+            X = _random_point(rng, True, 4)
+            try:
+                points = [project_point(g, X) for g in scene.frames]
+                break
+            except DegenerateProjectionError:
+                continue
+        else:
+            raise RuntimeError("could not sample a nondegenerate ambient point")
+        features = [p if d == 1 else _line_through_random(p, rng, True)
+                    for p, d in zip(points, degrees)]
+        if not any(all(span_dim([f, e]) == 1 for f, e in zip(features, c.features))
+                   for c in out):
+            out.append(Correspondence(degrees, features))
+    return out

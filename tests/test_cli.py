@@ -337,6 +337,10 @@ def test_check_rejects_other_shapes_before_building_subsets(tmp_path, capsys, mo
      "error: --count must be at least 26 for 3 views, got 25\n"),
     (["estimate", "--views", "4", "--count", "79"],
      "error: --count must be at least 80 for 4 views, got 79\n"),
+    (["--mode", "rational", "estimate", "--views", "4", "--count", "5001"],
+     "error: --count must be at most 5000, got 5001\n"),
+    (["estimate", "--views", "2", "--count", "100000000"],
+     "error: --count must be at most 5000, got 100000000\n"),
     (["verify-identities", "--trials", "0"], "error: --trials must be at least 1, got 0\n"),
     (["verify-identities", "--trials", "-1"], "error: --trials must be at least 1, got -1\n"),
     (["invariant", "wedge:4,-1,3"],
@@ -350,6 +354,7 @@ def test_check_rejects_other_shapes_before_building_subsets(tmp_path, capsys, mo
     (["invariant", "wedge:7,3,2", "--trials", "0"],
      "error: --trials must be between 1 and 10, got 0\n"),
 ], ids=["count-0", "count-negative", "count-3-of-8", "count-25-of-26", "count-79-of-80",
+        "count-above-bound", "count-far-above-bound",
         "identity-trials-0", "identity-trials-negative",
         "wedge-negative-p1", "wedge-negative-p2", "wedge-m-8", "wedge-m-10", "weight-trials-11",
         "weight-trials-0"])
@@ -364,6 +369,12 @@ def test_out_of_range_counts_and_sizes_exit_2(capsys, monkeypatch, argv, message
     monkeypatch.setattr(mft.invariants, "index_subsets", refuse)
     monkeypatch.setattr(mft.cli, "random_scene", refuse)
     assert _exits_2_with_one_line(capsys, argv) == message
+
+
+def test_largest_accepted_count(capsys):
+    code, obj = run(capsys, "--mode", "rational", "estimate", "--views", "2", "--count", "5000")
+    assert code == 0
+    assert obj["correspondences"] == 5000 and obj["rank"] == 8 and obj["pass"] is True
 
 
 def test_largest_accepted_wedge_and_trial_count(capsys):

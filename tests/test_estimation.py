@@ -62,6 +62,58 @@ def test_rational_trifocal_resamples_points_on_a_view_centre(key):
     assert alignment_error(est, multifocal(invariant_trifocal(), sc.frames)) == 0
 
 
+@pytest.mark.parametrize("key", [
+    "exact-recovery/1/228/4",  # two trifocal views drew one translation, so one centre
+    "exact-recovery/4/295/7",
+    "exact-recovery/13/282/7",
+    "exact-recovery/12/243/3",  # one bifocal ambient point drawn twice, up to scale
+    "exact-recovery/18/234/3",
+    "exact-recovery/8/331/1",
+])
+def test_degenerate_benchmark_draws_are_drawn_again(key):
+    views = 2 if int(key.rsplit("/", 1)[1]) < 4 else 3
+    sig, gen, inv, count = {2: ((1, 1), correspondences_bifocal, invariant_bifocal, 8),
+                            3: ((2, 1, 2), correspondences_trifocal, invariant_trifocal, 26)}[views]
+    rng = random.Random(key)
+    sc = random_scene(views, SceneKind.EUCLIDEAN, rng=rng, mode=MotionMode.CAYLEY_RATIONAL)
+    est, rank = estimate_tensor(sig, gen(sc, count, rng=rng))
+    assert rank == count
+    assert alignment_error(est, multifocal(inv(), sc.frames)) == 0
+
+
+class ScriptedRng:
+    """randint returns the scripted values in order, whatever its bounds."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def randint(self, lo, hi):
+        return self.values.pop(0)
+
+
+def _cayley_draw(u):
+    """randint values for one CAYLEY_RATIONAL motion: S = 0, translation u."""
+    return [0, 1] * 3 + [x for c in u for x in (c, 1)]
+
+
+def test_euclidean_scene_redraws_a_view_on_an_earlier_centre():
+    rng = ScriptedRng(_cayley_draw([1, 2, 3]) + _cayley_draw([1, 2, 3]) + _cayley_draw([4, 5, 6]))
+    sc = random_scene(2, SceneKind.EUCLIDEAN, rng=rng, mode=MotionMode.CAYLEY_RATIONAL)
+    assert [mo.u for mo in sc.motions] == [(1, 2, 3), (4, 5, 6)]
+    assert [g.basepoint() for g in sc.frames] == [[1, 1, 2, 3], [1, 4, 5, 6]]
+    assert rng.values == []
+
+
+def test_general_scene_redraws_a_view_on_an_earlier_centre_up_to_scale():
+    first = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]  # row-major, centre e0
+    same_centre = [-2, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1]  # centre -2 e0
+    other = [1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]  # centre e0 + e1
+    rng = ScriptedRng(first + same_centre + other)
+    sc = random_scene(2, SceneKind.GENERAL, rng=rng)
+    assert [g.basepoint() for g in sc.frames] == [[1, 0, 0, 0], [1, 1, 0, 0]]
+    assert rng.values == []
+
+
 def test_project_line_drops_base_terms():
     g = GroupElement.identity(4)
     L = Multivector(4, 2, {(0, 1): 5, (1, 2): 7})

@@ -1,10 +1,15 @@
-"""The construction lane on primitive integer frames against the frames as given.
+"""The integer lanes against references on the values as given.
 
 ``transform`` contracts the integer adjugate minors of the primitive integer
 frame and scales each output once; ``multifocal`` contracts psi of the
 primitive integer frames and scales each produced cell once.  Both must give
 the values and the Python types of the references in ``oracles.py``, which
 work on the frames as given, and ``multifocal`` the same JSON bytes.
+
+Exact recovery projects through one integer adjugate per view and keeps
+primitive integer features.  Each feature and each row must be a positive
+multiple of the ``Fraction`` reference's, and the recovered tensor the same
+values, types and JSON bytes.
 """
 
 import json
@@ -15,10 +20,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mft.coaction import GroupElement, SingularMatrixError, random_frame
+from mft.estimation import (
+    AmbiguousSolutionError,
+    SceneKind,
+    correspondences_bifocal,
+    correspondences_quadrifocal,
+    correspondences_trifocal,
+    estimate_tensor,
+    linear_rows,
+    random_scene,
+)
 from mft.euclidean import MotionMode, embed, random_motion
 from mft.focal import Section, apply_section, multifocal
 from mft.invariants import catalog_lookup, transform
-from oracles import reference_multifocal, reference_transform
+from oracles import reference_correspondences, reference_multifocal, reference_transform
 
 NAMES = ["bifocal", "trifocal", "quadrifocal", "wedge:4,1,1", "wedge:4,0,2",
          "wedge:5,1,2", "wedge:5,2,1"]
@@ -137,3 +152,46 @@ def test_multifocal_keeps_int_cells_of_int_frames_and_fraction_cells_of_embed_fr
     got = multifocal(inv, MIXED_TYPES).values
     assert _cells(got) == _cells(reference_multifocal(inv, MIXED_TYPES).values)
     assert {type(v) for v in got if v != 0} == {int, Fraction}
+
+
+RECOVERY = {
+    (1, 1): (correspondences_bifocal, 8),
+    (2, 1, 2): (correspondences_trifocal, 26),
+    (2, 2, 2, 2): (correspondences_quadrifocal, 80),
+}
+
+
+def _positive_multiple(got, ref):
+    """True when got == lam * ref for one lam > 0."""
+    i = next(k for k, x in enumerate(ref) if x != 0)
+    lam = Fraction(got[i]) / ref[i]
+    return lam > 0 and all(x == lam * y for x, y in zip(got, ref))
+
+
+def _estimate(signature, matches):
+    try:
+        est, rank = estimate_tensor(signature, matches)
+    except AmbiguousSolutionError as exc:
+        return str(exc)
+    return rank, _cells(est.values), json.dumps(est.to_json())
+
+
+@given(st.sampled_from(list(RECOVERY)), st.sampled_from(list(SceneKind)), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_recovery_lane_is_a_positive_multiple_of_the_fraction_reference(signature, kind, seed):
+    gen, count = RECOVERY[signature]
+    rng = random.Random(seed)
+    scene = random_scene(len(signature), kind, rng=rng, mode=MotionMode.CAYLEY_RATIONAL)
+    state = rng.getstate()
+    got = gen(scene, count, rng=rng)
+    after = rng.getstate()
+    rng.setstate(state)
+    ref = reference_correspondences(scene, count, signature, rng)
+    assert rng.getstate() == after  # the same draws
+    for c, r in zip(got, ref, strict=True):
+        for f, e in zip(c.features, r.features, strict=True):
+            assert all(type(x) is int for x in f)
+            assert _positive_multiple(f, e)
+    rows, ref_rows = linear_rows(signature, got), linear_rows(signature, ref)
+    assert all(_positive_multiple(a, b) for a, b in zip(rows, ref_rows, strict=True))
+    assert _estimate(signature, got) == _estimate(signature, ref)
